@@ -116,6 +116,13 @@ timeout 180 ./target/release/exp_metrics_overhead --quick
 # bench::regress). Fails CI on a regression beyond tolerance.
 ./target/release/bench regress --quick
 
+# The repository benchmark (benchmark/) is a stand-alone package outside
+# this workspace, so nothing above compiles it: a changed `pub` item or
+# thread name it keys on would otherwise only fail at the driver. Its unit
+# tests, then every workload end to end at smoke size.
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+bash benchmark/run.sh --smoke --trace 0
+
 # One release-codegen pass with the runtime invariant hooks compiled in
 # (conn/buffer/losslist check_invariants fire on the live data path).
 # Kept last: the different RUSTFLAGS rebuild replaces target/release

@@ -14,8 +14,10 @@
 //!   **explicit NAKs** with the compressed loss-list encoding (§3.1);
 //! * **loss-event loss lists** — the appendix's static-array structure on
 //!   both sides (§4.2);
-//! * the implementation techniques of §4: two dedicated threads per entity,
-//!   a hybrid sleep+spin high-precision send timer (§4.5), direct placement
+//! * the implementation techniques of §4: dedicated sender and timer
+//!   threads per entity with the receive path run to completion on the
+//!   socket's demux thread (a measured deviation from the paper's receiver
+//!   thread, see [`conn`]), a hybrid sleep+spin high-precision send timer (§4.5), direct placement
 //!   of arriving packets at their final buffer position (§4.6 speculation,
 //!   realized as sequence-addressed ring slots), rate-control protection by
 //!   the measured per-packet send cost (§4.4), and per-category CPU

@@ -12,7 +12,10 @@
 //! Receive buffers come from the [`BufPool`](crate::pool::BufPool): the
 //! kernel writes straight into the pooled buffer's spare capacity and the
 //! filled length is published with `set_len`, so the batched receive path
-//! performs no copy and no allocation in steady state.
+//! performs no copy and no allocation in steady state. Each datagram comes
+//! with the kernel's receive time ([`Datagram`]): packets of one batch are
+//! *read* at the same instant, and the receiver's estimators need the
+//! spacing they *arrived* with.
 
 // FFI layer: every cast is bounded by construction (batch counts capped
 // at MAX_BATCH, syscall returns checked non-negative before widening).
@@ -49,6 +52,41 @@ pub(crate) fn set_socket_buffers(sock: &UdpSocket, sndbuf: u32, rcvbuf: u32) {
     let _ = (sock, sndbuf, rcvbuf);
 }
 
+/// One received datagram: filled buffer, source address, and arrival stamp
+/// — nanoseconds on the realtime clock, taken by the kernel when the
+/// datagram reached the socket (`SO_TIMESTAMPNS`) or, where it supplies
+/// none, when the receive call returned. Only differences between stamps of
+/// one socket are meaningful.
+pub(crate) type Datagram = (BytesMut, SocketAddr, u64);
+
+/// Ask the kernel to stamp every datagram queued on `sock` with its arrival
+/// time, delivered with the data by the batched receive. Best-effort:
+/// without it (non-Linux, Miri, or a refusing kernel) stamps are read times.
+pub(crate) fn enable_arrival_stamps(sock: &UdpSocket) {
+    #[cfg(all(target_os = "linux", not(miri)))]
+    linux::enable_arrival_stamps(sock);
+    #[cfg(not(all(target_os = "linux", not(miri))))]
+    let _ = sock;
+}
+
+/// The realtime clock, read in user space: the stamp of last resort.
+fn realtime_ns() -> u64 {
+    let since_epoch = std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH);
+    since_epoch.map_or(0, |d| d.as_nanos() as u64)
+}
+
+/// CPU time the calling thread has consumed so far, in nanoseconds
+/// (`CLOCK_THREAD_CPUTIME_ID`). Two readings around a blocking receive
+/// give its CPU cost without the time spent blocked, which a wall-clock
+/// bracket cannot. `0` where the FFI is unavailable (non-Linux, Miri):
+/// differences are then zero and nothing is booked.
+pub(crate) fn thread_cpu_ns() -> u64 {
+    #[cfg(all(target_os = "linux", not(miri)))]
+    return linux::thread_cpu_ns();
+    #[cfg(not(all(target_os = "linux", not(miri))))]
+    0
+}
+
 impl BatchIo {
     /// Detect platform support. Linux is assumed capable until the kernel
     /// says otherwise at runtime; everything else — including Miri, which
@@ -64,8 +102,8 @@ impl BatchIo {
         self.mmsg.load(Ordering::Relaxed)
     }
 
-    /// Receive up to `max` datagrams into pooled buffers, appending
-    /// `(filled buffer, source)` pairs to `out`.
+    /// Receive up to `max` datagrams into pooled buffers, appending one
+    /// [`Datagram`] each to `out`.
     ///
     /// Blocks for the first datagram exactly like `recv_from` (honoring
     /// the socket read timeout); whatever else is already queued on the
@@ -78,7 +116,7 @@ impl BatchIo {
         pool: &BufPool,
         max: usize,
         scratch: &mut RecvScratch,
-        out: &mut Vec<(BytesMut, SocketAddr)>,
+        out: &mut Vec<Datagram>,
     ) -> io::Result<usize> {
         #[cfg(all(target_os = "linux", not(miri)))]
         if self.is_batched() && max > 1 {
@@ -97,7 +135,7 @@ impl BatchIo {
         match sock.recv_from(&mut buf) {
             Ok((n, from)) => {
                 buf.truncate(n);
-                out.push((buf, from));
+                out.push((buf, from, realtime_ns()));
                 Ok(1)
             }
             Err(e) => {
@@ -217,6 +255,7 @@ mod linux {
             timeout: *mut c_void,
         ) -> c_int;
         fn sendmmsg(fd: c_int, msgvec: *mut MMsgHdr, vlen: u32, flags: c_int) -> c_int;
+        fn clock_gettime(clock_id: c_int, ts: *mut TimeSpec) -> c_int;
         fn setsockopt(
             fd: c_int,
             level: c_int,
@@ -226,29 +265,77 @@ mod linux {
         ) -> c_int;
     }
 
+    #[repr(C)]
+    #[derive(Clone, Copy, Default)]
+    struct TimeSpec {
+        tv_sec: i64,
+        tv_nsec: i64,
+    }
+
+    impl TimeSpec {
+        fn as_ns(self) -> u64 {
+            (self.tv_sec as u64) * 1_000_000_000 + self.tv_nsec as u64
+        }
+    }
+
+    /// Control-message space for exactly one `SCM_TIMESTAMPNS` record: the
+    /// 64-bit `cmsghdr` followed by its `timespec` payload.
+    #[repr(C)]
+    #[derive(Clone, Copy, Default)]
+    struct StampCmsg {
+        cmsg_len: usize,
+        cmsg_level: c_int,
+        cmsg_type: c_int,
+        stamp: TimeSpec,
+    }
+
+    /// The `msg_controllen` handed to the kernel before each receive.
+    const STAMP_LEN: usize = std::mem::size_of::<StampCmsg>();
+
+    const CLOCK_THREAD_CPUTIME_ID: c_int = 3;
+
+    pub(super) fn thread_cpu_ns() -> u64 {
+        let mut ts = TimeSpec::default();
+        // SAFETY: `ts` is a live local matching the 64-bit `timespec`
+        // layout; the kernel only writes through the pointer. On failure
+        // it stays zeroed.
+        let _ = unsafe { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut ts) };
+        ts.as_ns()
+    }
+
     const SOL_SOCKET: c_int = 1;
     const SO_RCVBUF: c_int = 8;
     const SO_SNDBUF: c_int = 7;
+    /// Also the `cmsg_type` of the record it produces (`SCM_TIMESTAMPNS`);
+    /// the asm-generic value, as on x86-64/aarch64.
+    const SO_TIMESTAMPNS: c_int = 35;
+
+    /// Best-effort integer socket option at `SOL_SOCKET` level.
+    fn set_int_opt(sock: &UdpSocket, opt: c_int, val: c_int) {
+        // SAFETY: optval points at the live parameter `val` (a c_int) and
+        // optlen is sizeof(c_int); the kernel only reads through it.
+        // Failure is acceptable (the OS default stays in effect).
+        let _ = unsafe {
+            setsockopt(
+                sock.as_raw_fd(),
+                SOL_SOCKET,
+                opt,
+                (&val as *const c_int).cast(),
+                std::mem::size_of::<c_int>() as u32,
+            )
+        };
+    }
 
     pub(super) fn set_socket_buffers(sock: &UdpSocket, sndbuf: u32, rcvbuf: u32) {
         for (opt, bytes) in [(SO_SNDBUF, sndbuf), (SO_RCVBUF, rcvbuf)] {
-            if bytes == 0 {
-                continue;
+            if bytes != 0 {
+                set_int_opt(sock, opt, bytes.min(i32::MAX as u32) as c_int);
             }
-            let val = bytes.min(i32::MAX as u32) as c_int;
-            // SAFETY: optval points at the live local `val` (a c_int) and
-            // optlen is sizeof(c_int); the kernel only reads through it.
-            // Failure is acceptable (the OS default stays in effect).
-            let _ = unsafe {
-                setsockopt(
-                    sock.as_raw_fd(),
-                    SOL_SOCKET,
-                    opt,
-                    (&val as *const c_int).cast(),
-                    std::mem::size_of::<c_int>() as u32,
-                )
-            };
         }
+    }
+
+    pub(super) fn enable_arrival_stamps(sock: &UdpSocket) {
+        set_int_opt(sock, SO_TIMESTAMPNS, 1);
     }
 
     /// Return after the first blocking receive even if fewer than `vlen`
@@ -272,6 +359,7 @@ mod linux {
     pub(super) struct Scratch {
         addrs: Vec<AddrStorage>,
         iovecs: Vec<IoVec>,
+        stamps: Vec<StampCmsg>,
         hdrs: Vec<MMsgHdr>,
         /// Slot buffers. An empty-capacity entry marks a consumed slot
         /// awaiting refill from the pool.
@@ -291,14 +379,14 @@ mod linux {
         pool: &BufPool,
         max: usize,
         scratch: &mut super::RecvScratch,
-        out: &mut Vec<(BytesMut, SocketAddr)>,
+        out: &mut Vec<super::Datagram>,
     ) -> io::Result<usize> {
         let s = &mut scratch.inner;
         if s.cap != max {
-            // First call (or a capacity change): build all four arrays to
-            // `max` once. The header pointers reference `iovecs`/`addrs`
-            // elements; both vectors are sized here and only indexed
-            // afterwards, so those pointers stay valid across calls.
+            // First call (or a capacity change): build all five arrays to
+            // `max` once. The header pointers reference `iovecs`/`addrs`/
+            // `stamps` elements; the vectors are sized here and only
+            // indexed afterwards, so those pointers stay valid across calls.
             for buf in s.bufs.drain(..) {
                 if buf.capacity() > 0 {
                     pool.put(buf);
@@ -306,6 +394,8 @@ mod linux {
             }
             s.addrs.clear();
             s.addrs.resize(max, AddrStorage::default());
+            s.stamps.clear();
+            s.stamps.resize(max, StampCmsg::default());
             s.iovecs.clear();
             s.hdrs.clear();
             for _ in 0..max {
@@ -322,8 +412,8 @@ mod linux {
                         msg_namelen: ADDR_LEN,
                         msg_iov: &mut s.iovecs[i],
                         msg_iovlen: 1,
-                        msg_control: ptr::null_mut(),
-                        msg_controllen: 0,
+                        msg_control: (&mut s.stamps[i] as *mut StampCmsg).cast(),
+                        msg_controllen: STAMP_LEN,
                         msg_flags: 0,
                     },
                     msg_len: 0,
@@ -341,6 +431,7 @@ mod linux {
                 s.iovecs[i].iov_len = s.bufs[i].capacity();
             }
             s.hdrs[i].msg_hdr.msg_namelen = ADDR_LEN;
+            s.hdrs[i].msg_hdr.msg_controllen = STAMP_LEN;
             s.hdrs[i].msg_hdr.msg_flags = 0;
             s.hdrs[i].msg_len = 0;
         }
@@ -360,6 +451,7 @@ mod linux {
             return Err(io::Error::last_os_error());
         }
         let got = n as usize;
+        let read_at = super::realtime_ns();
         let mut delivered = 0;
         for i in 0..got {
             // Take the filled buffer out; the empty replacement marks the
@@ -376,10 +468,17 @@ mod linux {
                 pool.put(buf);
                 continue;
             };
+            // The kernel reports how much control data it wrote; anything
+            // but one whole arrival-stamp record means it wrote none.
+            let c = &s.stamps[i];
+            let stamped = hdr.msg_hdr.msg_controllen >= STAMP_LEN
+                && c.cmsg_level == SOL_SOCKET
+                && c.cmsg_type == SO_TIMESTAMPNS;
+            let arrival = if stamped { c.stamp.as_ns() } else { read_at };
             // SAFETY: the kernel initialized exactly `len` bytes, and
             // `len` is clamped to the buffer capacity above.
             unsafe { buf.set_len(len) };
-            out.push((buf, from));
+            out.push((buf, from, arrival));
             delivered += 1;
         }
         Ok(delivered)
@@ -530,14 +629,38 @@ mod tests {
             io.recv_batch(&b, &pool, 16, &mut scratch, &mut got).unwrap();
         }
         assert_eq!(got.len(), 5, "no datagram merging or splitting");
-        let mut seen: Vec<u8> = got.iter().map(|(m, _)| m[0]).collect();
+        let mut seen: Vec<u8> = got.iter().map(|(m, _, _)| m[0]).collect();
         seen.sort_unstable();
-        for (m, from) in &got {
+        for (m, from, _) in &got {
             assert_eq!(m.len(), 9);
             assert!(m.iter().all(|&x| x == m[0]));
             assert_eq!(*from, a.local_addr().unwrap());
         }
         assert_eq!(seen, vec![0, 1, 2, 3, 4]);
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn arrival_stamps_are_taken_at_the_socket_not_at_the_read() {
+        let (a, b, _aa, ba) = pair();
+        b.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        enable_arrival_stamps(&b);
+        // Two datagrams 20 ms apart, both read long after the second one.
+        a.send_to(b"one", ba).unwrap();
+        std::thread::sleep(Duration::from_millis(20));
+        a.send_to(b"two", ba).unwrap();
+        std::thread::sleep(Duration::from_millis(50));
+        let io = BatchIo::detect();
+        let pool = test_pool();
+        let mut scratch = RecvScratch::new();
+        let mut got = Vec::new();
+        while got.len() < 2 {
+            io.recv_batch(&b, &pool, 8, &mut scratch, &mut got).unwrap();
+        }
+        let gap_ms = got[1].2.saturating_sub(got[0].2) / 1_000_000;
+        assert!((15..45).contains(&gap_ms), "stamp gap {gap_ms} ms");
+        let read_lag_ms = realtime_ns().saturating_sub(got[1].2) / 1_000_000;
+        assert!(read_lag_ms >= 45, "second stamp only {read_lag_ms} ms old");
     }
 
     #[test]
@@ -633,7 +756,7 @@ mod tests {
             io.recv_batch(&b, &pool, 8, &mut scratch, &mut got).unwrap();
         }
         assert_eq!(got.len(), 3);
-        for (m, _) in &got {
+        for (m, _, _) in &got {
             assert_eq!(m.len(), 4);
         }
     }

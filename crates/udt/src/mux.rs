@@ -2,19 +2,22 @@
 //!
 //! Every UDT packet carries a destination connection id; a single demux
 //! thread drains the socket in batches (one `recvmmsg` per wakeup on
-//! Linux, see [`crate::mmsg`]) into pooled buffers, routes each decoded
-//! batch to per-connection queues (handshake requests, which carry id 0,
-//! go to the listener queue), and hands every connection its share of the
-//! batch as **one** channel send. Sends go out through the shared socket
-//! from any thread, coalesced into `sendmmsg` flushes when the caller has
-//! more than one packet. This mirrors how the released UDT library lets
-//! many connections share one UDP port, with the batch-of-packets unit of
-//! work layered on top.
+//! Linux, see [`crate::mmsg`]) into pooled buffers, groups each decoded
+//! batch by connection id (handshake requests, which carry id 0, go to the
+//! listener queue) and **runs every established connection's share to
+//! completion right there**, through the [`PacketSink`] its id maps to —
+//! no per-connection queue, thread or wake-up between the socket and the
+//! protocol state (UDT4's `CRcvQueue::worker` has the same shape). A queue
+//! remains only where a blocking caller needs one: the handshake phase of
+//! `connect`/the listener ([`Mux::register`], then [`Mux::attach`]) and
+//! the raw pump in [`crate::datapath`]. Sends go out through the shared
+//! socket from any thread, coalesced into `sendmmsg` flushes when the
+//! caller has more than one packet.
 //!
 //! Steady-state allocation discipline: receive buffers come from the
-//! recycling [`BufPool`], send buffers from per-thread scratch slots;
-//! the only per-wakeup allocations are the batch vectors themselves,
-//! amortized over every packet they carry.
+//! recycling [`BufPool`], send buffers from per-thread scratch slots, and
+//! the per-connection grouping vectors are demux-thread scratch reused
+//! across wakeups; only a queue route takes ownership of its batch vector.
 
 // Numeric casts in this module are deliberate: bounded protocol arithmetic,
 // 32-bit wire fields, and clock/rate conversions whose ranges are argued at
@@ -25,12 +28,13 @@ use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 use bytes::BytesMut;
 use crossbeam::channel::{Receiver, Sender};
 use parking_lot::Mutex;
+use udt_algo::Nanos;
 use udt_metrics::counters::{BatchCounters, BatchSnapshot};
 use udt_proto::ctrl::type_code;
 use udt_proto::{decode, encode, Packet, SeqNo};
@@ -39,31 +43,47 @@ use udt_trace::{DropReason, EventKind, Tracer};
 use crate::auth::AuthCtx;
 use crate::config::UdtConfig;
 use crate::instrument::{Category, Instrument};
-use crate::mmsg::{BatchIo, RecvScratch};
+use crate::mmsg::{thread_cpu_ns, BatchIo, Datagram, RecvScratch};
 use crate::pool::BufPool;
 
-/// Deferred replay-window mark: the context and data sequence to record
-/// once the packet is actually delivered to its connection.
-type ReplayMark = (Arc<AuthCtx>, SeqNo);
+/// A routed inbound packet: the packet, its source, and its arrival stamp
+/// (see [`Datagram`]; a timeline of its own, not the connection clock's).
+pub(crate) type MuxMsg = (Packet, SocketAddr, Nanos);
 
-/// A routed inbound packet.
-pub(crate) type MuxMsg = (Packet, SocketAddr);
-
-/// One demux wakeup's worth of packets for a single connection: the unit
-/// the per-connection queues carry (one crossbeam send per batch, not per
-/// packet).
+/// One demux wakeup's worth of packets for a single connection.
 pub(crate) type MuxBatch = Vec<MuxMsg>;
+
+/// Inline consumer of one connection's share of each demux wakeup.
+pub(crate) trait PacketSink: Send + Sync {
+    /// Process `batch` in order, draining it. Runs on the `udt-mux` thread
+    /// (once, for packets queued during the handshake, on the thread
+    /// calling [`Mux::attach`]), never under the registry lock. `recv_ns`
+    /// is the batch's share of the receive syscall's CPU time (Table 3).
+    fn deliver(&self, batch: &mut MuxBatch, recv_ns: u64);
+}
+
+/// Where the demux thread sends a connection id's packets.
+enum Route {
+    /// A blocking caller drains a queue (handshake phase, raw pump).
+    Queue(Sender<MuxBatch>),
+    /// Established connection, processed inline. Weak: the connection
+    /// owns an `Arc<Mux>`, the registry must not own the connection back.
+    Sink(Weak<dyn PacketSink>),
+}
+
+/// One wakeup in this many brackets its receive call with thread-CPU-time
+/// readings (a real syscall each, ~0.3 µs) and books the difference times
+/// this factor: an unbiased `UdpRecv` figure at negligible datapath cost.
+const RECV_CPU_SAMPLE: u64 = 8;
 
 pub(crate) struct Mux {
     socket: UdpSocket,
     local_addr: SocketAddr,
-    conns: Mutex<HashMap<u32, Sender<MuxBatch>>>,
+    /// The registry: held for lookups, queue pushes and route swaps only.
+    conns: Mutex<HashMap<u32, Route>>,
     listener: Mutex<Option<Sender<MuxMsg>>>,
     stop: AtomicBool,
     thread: Mutex<Option<std::thread::JoinHandle<()>>>,
-    /// Set once a traced connection/listener attaches; only consulted on
-    /// the cold shed path, so a mutex (not a hot-path atomic) suffices.
-    tracer: Mutex<Tracer>,
     /// Authenticated-profile contexts, by local connection id. A present
     /// entry makes the demux thread require (and strip) a valid trailer
     /// tag on every non-handshake datagram for that connection — forged
@@ -82,6 +102,8 @@ pub(crate) struct Mux {
     obs: Option<MuxObs>,
     /// Max datagrams drained per demux wakeup (`rcv_batch_pkts`).
     rcv_batch: usize,
+    /// Where demux-level drops (queue shed) are recorded.
+    tracer: Tracer,
 }
 
 /// Per-mux histogram set (labelled `mux="<local port>"`).
@@ -126,6 +148,9 @@ impl Mux {
         // kernel queue that absorbs a burst becomes one `recvmmsg` batch
         // instead of drops. Best-effort; `0` keeps the OS default.
         crate::mmsg::set_socket_buffers(&socket, cfg.udp_sndbuf_bytes, cfg.udp_rcvbuf_bytes);
+        // Arrival times for the receiver's packet-pair and arrival-speed
+        // estimators must not depend on when this process gets to a packet.
+        crate::mmsg::enable_arrival_stamps(&socket);
         let counters = Arc::new(BatchCounters::new());
         // Stride covers a full data packet plus trailer tag, with a floor
         // that fits every control packet (largest: a 64-range NAK).
@@ -171,13 +196,13 @@ impl Mux {
             listener: Mutex::new(None),
             stop: AtomicBool::new(false),
             thread: Mutex::new(None),
-            tracer: Mutex::new(Tracer::disabled()),
             auth: Mutex::new(HashMap::new()),
             io: BatchIo::detect(),
             pool,
             counters,
             obs,
             rcv_batch: cfg.rcv_batch_pkts.max(1) as usize,
+            tracer: cfg.tracer.clone(),
         });
         let weak = Arc::downgrade(&mux);
         let rx = mux.socket.try_clone()?;
@@ -185,20 +210,31 @@ impl Mux {
             .name("udt-mux".into())
             .spawn(move || {
                 let mut scratch = RecvScratch::new();
-                // Raw datagrams land here; the vector is reused forever.
-                let mut raw: Vec<(BytesMut, SocketAddr)> = Vec::with_capacity(64);
+                // Raw datagrams land here, then regroup per connection id;
+                // both vectors (and the groups' inner ones) are reused.
+                let mut raw: Vec<Datagram> = Vec::with_capacity(64);
+                let mut groups: Vec<(u32, MuxBatch)> = Vec::with_capacity(4);
+                let mut wakeups = 0u64;
                 loop {
                     let Some(mux) = weak.upgrade() else { return };
                     if mux.stop.load(Ordering::Relaxed) {
                         return;
                     }
                     raw.clear();
+                    // CPU, not wall time: the call blocks for the first datagram.
+                    let cpu0 = wakeups.is_multiple_of(RECV_CPU_SAMPLE).then(thread_cpu_ns);
+                    wakeups += 1;
                     match mux
                         .io
                         .recv_batch(&rx, &mux.pool, mux.rcv_batch, &mut scratch, &mut raw)
                     {
                         Ok(0) => {}
-                        Ok(_) => mux.process_batch(&mut raw),
+                        Ok(_) => {
+                            let recv_ns = cpu0.map_or(0, |c0| {
+                                thread_cpu_ns().saturating_sub(c0) * RECV_CPU_SAMPLE
+                            });
+                            mux.process_batch(&mut raw, &mut groups, recv_ns);
+                        }
                         Err(e)
                             if e.kind() == io::ErrorKind::WouldBlock
                                 || e.kind() == io::ErrorKind::TimedOut
@@ -214,55 +250,68 @@ impl Mux {
     /// Gate one raw inbound datagram through the authenticated profile.
     ///
     /// Returns the number of leading bytes to decode (the trailer tag is
-    /// stripped when present) plus, for authenticated data packets, the
-    /// context/sequence pair to mark in the replay window once the packet
-    /// is actually delivered. `None` means drop: missing/invalid tag or a
-    /// replay. Handshake control packets always pass untagged — they are
+    /// stripped when present); `None` means drop: missing/invalid tag or a
+    /// replay. The replay window is armed at delivery ([`Mux::mark_delivered`]),
+    /// not here: a packet shed at a full queue must stay retransmittable.
+    /// Handshake control packets always pass untagged — they are
     /// authenticated at field level ([`udt_proto::auth::handshake_tag`]),
     /// since they are what negotiates the trailer keys in the first place.
-    fn auth_gate(&self, buf: &[u8]) -> Option<(usize, Option<ReplayMark>)> {
+    fn auth_gate(&self, buf: &[u8]) -> Option<usize> {
         let Some((is_ctrl, tc, conn_id, raw_seq)) = peek_header(buf) else {
-            return Some((buf.len(), None)); // let the decoder reject it
+            return Some(buf.len()); // let the decoder reject it
         };
         if conn_id == 0 {
-            return Some((buf.len(), None)); // listener handshake traffic
+            return Some(buf.len()); // listener handshake traffic
         }
         let ctx = self.auth.lock().get(&conn_id).cloned();
         let Some(ctx) = ctx else {
-            return Some((buf.len(), None)); // plaintext connection
+            return Some(buf.len()); // plaintext connection
         };
         if is_ctrl && tc == type_code::HANDSHAKE {
-            return Some((buf.len(), None));
+            return Some(buf.len());
         }
         let seq_hint = if is_ctrl { 0 } else { raw_seq };
         let body = ctx.verify_trailer(buf, seq_hint)?;
-        if is_ctrl {
-            return Some((body, None));
-        }
-        let seq = SeqNo::new(raw_seq);
-        if ctx.is_replay(seq) {
+        if !is_ctrl && ctx.is_replay(SeqNo::new(raw_seq)) {
             return None;
         }
-        Some((body, Some((ctx, seq))))
+        Some(body)
+    }
+
+    /// Arm the replay window for the authenticated data packets of a batch
+    /// that is now certain to reach connection `id`.
+    fn mark_delivered(&self, id: u32, batch: &MuxBatch) {
+        let Some(ctx) = self.auth.lock().get(&id).cloned() else {
+            return; // plaintext connection
+        };
+        for (pkt, ..) in batch {
+            if let Packet::Data(d) = pkt {
+                ctx.mark_delivered(d.seq);
+            }
+        }
     }
 
     /// Demultiplex one receive batch: auth-gate and decode every datagram
     /// (per-packet semantics identical to the per-packet path), group the
-    /// survivors by connection id, then deliver each group with a single
-    /// channel send under a single registry lock.
-    fn process_batch(&self, raw: &mut Vec<(BytesMut, SocketAddr)>) {
+    /// survivors by connection id in `groups` (scratch, left empty), then
+    /// per group resolve the route under the registry lock and — with the
+    /// lock released — run the sink. `recv_ns` is the receive call's CPU
+    /// time, apportioned to the sinks by packets.
+    fn process_batch(
+        &self,
+        raw: &mut Vec<Datagram>,
+        groups: &mut Vec<(u32, MuxBatch)>,
+        recv_ns: u64,
+    ) {
+        let total = raw.len() as u64;
         self.counters.recv_batches(1);
-        self.counters.recv_pkts(raw.len() as u64);
+        self.counters.recv_pkts(total);
         if let Some(o) = &self.obs {
-            o.recv_batch.record(raw.len() as u64);
+            o.recv_batch.record(total);
         }
-        // Per-wakeup scratch, amortized over the whole batch. The inner
-        // `MuxBatch` vectors transfer ownership through the channel, so
-        // they cannot be reused — that is the one amortized allocation
-        // per connection per wakeup the design accepts.
-        let mut groups: Vec<(u32, MuxBatch, Vec<ReplayMark>)> = Vec::with_capacity(4);
-        for (buf, from) in raw.drain(..) {
-            let Some((body, mark)) = self.auth_gate(&buf) else {
+        let mut used = 0;
+        for (buf, from, arrival) in raw.drain(..) {
+            let Some(body) = self.auth_gate(&buf) else {
                 self.pool.put(buf); // failed tag/replay check: drop
                 continue;
             };
@@ -280,67 +329,56 @@ impl Mux {
                 // Handshake traffic addressed to no connection: the
                 // listener's, one message per packet (cold path).
                 if let Some(l) = self.listener.lock().as_ref() {
-                    let _ = l.try_send((pkt, from));
+                    let _ = l.try_send((pkt, from, Nanos(arrival)));
                 }
                 continue;
             }
-            if let Some(g) = groups.iter_mut().find(|g| g.0 == id) {
-                g.1.push((pkt, from));
-                if let Some(m) = mark {
-                    g.2.push(m);
+            let known = groups[..used].iter().position(|g| g.0 == id);
+            let slot = known.unwrap_or_else(|| {
+                if used == groups.len() {
+                    groups.push((id, Vec::with_capacity(8))); // warm-up growth only
                 }
-            } else {
-                let mut msgs: MuxBatch = Vec::with_capacity(8);
-                msgs.push((pkt, from));
-                let mut marks = Vec::with_capacity(usize::from(mark.is_some()) * 4);
-                if let Some(m) = mark {
-                    marks.push(m);
-                }
-                groups.push((id, msgs, marks));
-            }
+                groups[used].0 = id;
+                used += 1;
+                used - 1
+            });
+            groups[slot].1.push((pkt, from, Nanos(arrival)));
         }
-        if groups.is_empty() {
-            return;
-        }
-        // One registry lock per batch; shed traces go out after it drops.
-        let mut shed: Vec<(u32, MuxBatch)> = Vec::with_capacity(0);
-        {
-            let conns = self.conns.lock();
-            for (id, msgs, marks) in groups {
-                let Some(tx) = conns.get(&id) else { continue };
-                // Bounded queues: shedding under overload beats unbounded
-                // RAM.
-                match tx.try_send(msgs) {
-                    Ok(()) => {
-                        // Mark authenticated data as delivered only now: a
-                        // shed packet stays unmarked so its retransmission
-                        // is not mistaken for a replay.
-                        for (ctx, seq) in marks {
-                            ctx.mark_delivered(seq);
-                        }
+        for (id, batch) in &mut groups[..used] {
+            let mut shed = false;
+            let sink = {
+                let conns = self.conns.lock();
+                match conns.get(id) {
+                    // A channel push, not connection code; the queue takes
+                    // the vector. This thread is the queue's only producer:
+                    // seen not full, the push cannot fail for lack of room.
+                    Some(Route::Queue(tx)) if !tx.is_full() => {
+                        self.mark_delivered(*id, batch);
+                        let _ = tx.try_send(std::mem::take(batch));
+                        None
                     }
-                    Err(
-                        crossbeam::channel::TrySendError::Full(b)
-                        | crossbeam::channel::TrySendError::Disconnected(b),
-                    ) => shed.push((id, b)),
+                    // Bounded queues: shedding beats unbounded RAM.
+                    Some(Route::Queue(_)) => {
+                        shed = true;
+                        None
+                    }
+                    Some(Route::Sink(sink)) => sink.upgrade(),
+                    None => None,
                 }
+            };
+            if let Some(sink) = sink {
+                self.mark_delivered(*id, batch);
+                sink.deliver(batch, recv_ns * batch.len() as u64 / total);
             }
-        }
-        for (id, batch) in shed {
-            let tracer = self.tracer.lock();
-            for (pkt, _) in batch {
-                let seq = match &pkt {
+            for (pkt, ..) in batch.iter().filter(|_| shed) {
+                let seq = match pkt {
                     Packet::Data(d) => d.seq.raw(),
                     Packet::Control(_) => 0,
                 };
-                tracer.emit(
-                    id,
-                    EventKind::DataDrop {
-                        seq,
-                        reason: DropReason::Shed,
-                    },
-                );
+                let reason = DropReason::Shed;
+                self.tracer.emit(*id, EventKind::DataDrop { seq, reason });
             }
+            batch.clear();
         }
     }
 
@@ -360,14 +398,6 @@ impl Mux {
         self.io.is_batched()
     }
 
-    /// Attach a tracer so demux-level drops (queue shed) are recorded on
-    /// the same timeline as protocol events. No-op tracers are fine.
-    pub fn set_tracer(&self, t: &Tracer) {
-        if t.is_enabled() {
-            *self.tracer.lock() = t.clone();
-        }
-    }
-
     /// Register the listener queue (handshake requests land here).
     pub fn set_listener(&self) -> Receiver<MuxMsg> {
         let (tx, rx) = crossbeam::channel::bounded(256);
@@ -375,18 +405,36 @@ impl Mux {
         rx
     }
 
-    /// Register a connection queue under `local_id`. `depth` is in
-    /// *packets*, as before batching: the queue holds up to
+    /// Register a queue route under `local_id`: packets for it wait for a
+    /// blocking caller. `depth` is in *packets*: the queue holds up to
     /// `depth / rcv_batch` full batches (floored generously so sparse
     /// single-packet batches keep a usable queue).
     pub fn register(&self, local_id: u32, depth: usize) -> Receiver<MuxBatch> {
         let batches = (depth / self.rcv_batch).max(64);
         let (tx, rx) = crossbeam::channel::bounded(batches);
-        self.conns.lock().insert(local_id, tx);
+        self.conns.lock().insert(local_id, Route::Queue(tx));
         rx
     }
 
-    /// Remove a connection queue (and its auth context, if any).
+    /// Switch `local_id` from its queue `rx` to inline delivery into
+    /// `sink`. What the queue still holds is delivered first, on the
+    /// calling thread; the switch happens under the registry lock with the
+    /// queue seen empty, and the demux thread feeds a queue only under that
+    /// lock — so the sink gets every packet once, in arrival order.
+    pub fn attach(&self, local_id: u32, sink: &Arc<dyn PacketSink>, rx: &Receiver<MuxBatch>) {
+        loop {
+            while let Ok(mut batch) = rx.try_recv() {
+                sink.deliver(&mut batch, 0);
+            }
+            let mut conns = self.conns.lock();
+            if rx.is_empty() {
+                conns.insert(local_id, Route::Sink(Arc::downgrade(sink)));
+                return;
+            }
+        }
+    }
+
+    /// Remove a connection's route (and its auth context, if any).
     pub fn unregister(&self, local_id: u32) {
         self.conns.lock().remove(&local_id);
         self.auth.lock().remove(&local_id);
@@ -405,51 +453,15 @@ impl Mux {
         self.auth.lock().remove(&local_id);
     }
 
-    /// Encode and send one packet. Returns the wall-clock cost in
-    /// nanoseconds (fed back into §4.4's minimum-period correction).
+    /// Encode and send one untagged packet. Returns the wall-clock cost in
+    /// nanoseconds.
     pub fn send(&self, pkt: &Packet, to: SocketAddr, instr: &Instrument) -> io::Result<u64> {
-        self.send_auth(pkt, to, instr, None)
-    }
-
-    /// Encode and send one packet, appending a trailer tag over the
-    /// encoded bytes when an auth context is supplied.
-    pub fn send_auth(
-        &self,
-        pkt: &Packet,
-        to: SocketAddr,
-        instr: &Instrument,
-        auth: Option<&AuthCtx>,
-    ) -> io::Result<u64> {
-        thread_local! {
-            static BUF: std::cell::RefCell<BytesMut> = std::cell::RefCell::new(BytesMut::with_capacity(65_536));
-        }
-        BUF.with(|cell| {
-            let mut buf = cell.borrow_mut();
-            buf.clear();
-            {
-                let _t = instr.scope(Category::Packing);
-                encode(pkt, &mut buf);
-                if let Some(ctx) = auth {
-                    let tag = ctx.tx_key.tag(&buf);
-                    buf.extend_from_slice(&tag.to_be_bytes());
-                }
-            }
-            let t0 = std::time::Instant::now();
-            let res = {
-                let _t = instr.scope(Category::UdpSend);
-                self.socket.send_to(&buf, to)
-            };
-            self.counters.send_batches(1);
-            self.counters.send_pkts(1);
-            if let Some(o) = &self.obs {
-                o.send_batch.record(1);
-            }
-            res.map(|_| t0.elapsed().as_nanos() as u64)
-        })
+        self.send_batch(std::slice::from_ref(pkt), to, instr, None)
     }
 
     /// Encode and send a burst of packets to one destination as a single
-    /// socket flush (`sendmmsg` when available), appending trailer tags
+    /// socket flush (`sendmmsg` when available and there is more than one
+    /// packet, the plain `send_to` otherwise), appending trailer tags
     /// when an auth context is supplied. Encoding writes into per-thread
     /// scratch slots — no allocation in steady state. Returns the
     /// wall-clock cost of the whole flush in nanoseconds (the §4.4
@@ -462,10 +474,8 @@ impl Mux {
         instr: &Instrument,
         auth: Option<&AuthCtx>,
     ) -> io::Result<u64> {
-        match pkts.len() {
-            0 => return Ok(0),
-            1 => return self.send_auth(&pkts[0], to, instr, auth),
-            _ => {}
+        if pkts.is_empty() {
+            return Ok(0);
         }
         thread_local! {
             // Initializer runs once per thread; the slots grow to batch
@@ -531,6 +541,7 @@ mod tests {
     use super::*;
     use bytes::Bytes;
     use udt_proto::ctrl::ControlPacket;
+    use udt_proto::DataPacket;
 
     fn bind_test(addr: &str) -> Arc<Mux> {
         Mux::bind(addr.parse().unwrap(), &UdtConfig::default()).unwrap()
@@ -560,10 +571,10 @@ mod tests {
             &instr,
         )
         .unwrap();
-        let (p7, from7) = recv_one(&q7, Duration::from_secs(2)).unwrap();
+        let (p7, from7, _) = recv_one(&q7, Duration::from_secs(2)).unwrap();
         assert_eq!(p7.conn_id(), 7);
         assert_eq!(from7, a.local_addr());
-        let (p9, _) = recv_one(&q9, Duration::from_secs(2)).unwrap();
+        let (p9, ..) = recv_one(&q9, Duration::from_secs(2)).unwrap();
         assert_eq!(p9.conn_id(), 9);
         assert!(q7.try_recv().is_err(), "no cross-routing");
     }
@@ -580,14 +591,12 @@ mod tests {
             &instr,
         )
         .unwrap();
-        let (pkt, _) = lq.recv_timeout(Duration::from_secs(2)).unwrap();
+        let (pkt, ..) = lq.recv_timeout(Duration::from_secs(2)).unwrap();
         assert_eq!(pkt.conn_id(), 0);
     }
 
     #[test]
     fn batched_send_delivers_every_packet_and_counts() {
-        use udt_proto::DataPacket;
-
         let a = bind_test("127.0.0.1:0");
         let b = bind_test("127.0.0.1:0");
         let q = b.register(3, 8192);
@@ -606,7 +615,7 @@ mod tests {
         let mut got = 0usize;
         while got < 24 {
             let batch = q.recv_timeout(Duration::from_secs(2)).unwrap();
-            for (pkt, from) in batch {
+            for (pkt, from, _) in batch {
                 assert_eq!(pkt.conn_id(), 3);
                 assert_eq!(from, a.local_addr());
                 got += 1;
@@ -630,30 +639,30 @@ mod tests {
         assert!(rcv.pool_hits + rcv.pool_misses >= 24);
     }
 
+    /// Matching trailer-tag contexts: a sender's, and local id 7's.
+    fn auth_pair() -> (AuthCtx, Arc<AuthCtx>) {
+        let psk = udt_proto::PreSharedKey::from_bytes([1u8; 16]);
+        let (c2s, s2c) = (psk.session_key(1, 2, true), psk.session_key(1, 2, false));
+        let client = AuthCtx::new(c2s, s2c, Tracer::disabled(), 3, None, 64);
+        let server = AuthCtx::new(s2c, c2s, Tracer::disabled(), 7, None, 64);
+        (client, Arc::new(server))
+    }
+
+    fn data_pkt(conn_id: u32, seq: u32) -> Packet {
+        Packet::Data(DataPacket {
+            seq: SeqNo::new(seq),
+            timestamp_us: 0,
+            conn_id,
+            payload: Bytes::from_static(b"payload"),
+        })
+    }
+
     #[test]
     fn auth_gate_enforces_tags_and_replay() {
-        use udt_proto::{DataPacket, PreSharedKey};
-
         let a = bind_test("127.0.0.1:0");
         let b = bind_test("127.0.0.1:0");
         let q = b.register(7, 64);
-        let psk = PreSharedKey::from_bytes([1u8; 16]);
-        let client = AuthCtx::new(
-            psk.session_key(1, 2, true),
-            psk.session_key(1, 2, false),
-            Tracer::disabled(),
-            3,
-            None,
-            64,
-        );
-        let server = Arc::new(AuthCtx::new(
-            psk.session_key(1, 2, false),
-            psk.session_key(1, 2, true),
-            Tracer::disabled(),
-            7,
-            None,
-            64,
-        ));
+        let (client, server) = auth_pair();
         b.set_auth(7, Arc::clone(&server));
         let instr = Instrument::default();
 
@@ -668,28 +677,21 @@ mod tests {
         assert_eq!(server.counters.snapshot().tags_bad, 1);
 
         // Correctly tagged control is delivered (tag stripped).
-        a.send_auth(
-            &Packet::Control(ControlPacket::keepalive(7)),
-            b.local_addr(),
-            &instr,
-            Some(&client),
-        )
-        .unwrap();
-        let (pkt, _) = recv_one(&q, Duration::from_secs(2)).unwrap();
+        let tagged = |pkt: &Packet| {
+            let (one, to) = (std::slice::from_ref(pkt), b.local_addr());
+            a.send_batch(one, to, &instr, Some(&client)).unwrap();
+        };
+        tagged(&Packet::Control(ControlPacket::keepalive(7)));
+        let (pkt, ..) = recv_one(&q, Duration::from_secs(2)).unwrap();
         assert_eq!(pkt.conn_id(), 7);
 
         // A tagged data packet delivers once; its byte-identical replay
         // is dropped and counted.
-        let data = Packet::Data(DataPacket {
-            seq: SeqNo::new(5),
-            timestamp_us: 0,
-            conn_id: 7,
-            payload: Bytes::from_static(b"payload"),
-        });
-        a.send_auth(&data, b.local_addr(), &instr, Some(&client)).unwrap();
-        let (pkt, _) = recv_one(&q, Duration::from_secs(2)).unwrap();
+        let data = data_pkt(7, 5);
+        tagged(&data);
+        let (pkt, ..) = recv_one(&q, Duration::from_secs(2)).unwrap();
         assert!(matches!(pkt, Packet::Data(_)));
-        a.send_auth(&data, b.local_addr(), &instr, Some(&client)).unwrap();
+        tagged(&data);
         assert!(recv_one(&q, Duration::from_millis(300)).is_none());
         assert_eq!(server.counters.snapshot().replays, 1);
 
@@ -702,6 +704,50 @@ mod tests {
         )
         .unwrap();
         assert!(recv_one(&q, Duration::from_secs(2)).is_some());
+    }
+
+    #[test]
+    fn full_queue_sheds_with_a_trace_and_without_arming_the_replay_window() {
+        let tracer = Tracer::ring(1 << 10);
+        let cfg = UdtConfig {
+            tracer: tracer.clone(),
+            ..UdtConfig::default()
+        };
+        let a = bind_test("127.0.0.1:0");
+        let b = Mux::bind("127.0.0.1:0".parse().unwrap(), &cfg).unwrap();
+        let q = b.register(7, 64); // 64 batches
+        let (client, server) = auth_pair();
+        b.set_auth(7, Arc::clone(&server));
+        let instr = Instrument::default();
+        let send = |seq| {
+            let (one, to) = ([data_pkt(7, seq)], b.local_addr());
+            a.send_batch(&one, to, &instr, Some(&client)).unwrap();
+        };
+        let wait = |what: &str, done: &dyn Fn() -> bool| {
+            let t0 = std::time::Instant::now();
+            while !done() {
+                assert!(t0.elapsed() < Duration::from_secs(5), "timed out: {what}");
+                std::thread::yield_now();
+            }
+        };
+        // One packet per batch until the queue is full, then one too many.
+        for seq in 0..64 {
+            send(seq);
+            wait("queued", &|| q.len() == seq as usize + 1);
+        }
+        send(64);
+        let shed = |e: &udt_trace::TraceEvent| {
+            let reason = DropReason::Shed;
+            e.conn == 7 && e.kind == EventKind::DataDrop { seq: 64, reason }
+        };
+        wait("shed trace", &|| tracer.snapshot().iter().any(shed));
+        assert_eq!(q.len(), 64);
+        // The shed packet was never delivered: its retransmission is no replay.
+        while q.try_recv().is_ok() {}
+        send(64);
+        let (pkt, ..) = recv_one(&q, Duration::from_secs(2)).expect("retransmission delivered");
+        assert!(matches!(pkt, Packet::Data(d) if d.seq == SeqNo::new(64)));
+        assert_eq!(server.counters.snapshot().replays, 0);
     }
 
     #[test]
@@ -718,5 +764,49 @@ mod tests {
         )
         .unwrap();
         assert!(recv_one(&q, Duration::from_millis(300)).is_none());
+    }
+
+    /// Records the data sequence numbers it is handed, in order.
+    impl PacketSink for Mutex<Vec<u32>> {
+        fn deliver(&self, batch: &mut MuxBatch, _recv_ns: u64) {
+            let data = batch.drain(..).filter_map(|(pkt, ..)| match pkt {
+                Packet::Data(d) => Some(d.seq.raw()),
+                Packet::Control(_) => None,
+            });
+            self.lock().extend(data);
+        }
+    }
+
+    #[test]
+    fn attach_hands_over_queued_packets_before_inline_ones() {
+        let a = bind_test("127.0.0.1:0");
+        let b = bind_test("127.0.0.1:0");
+        let rx = b.register(5, 64);
+        let fence = b.register(99, 64);
+        let instr = Instrument::default();
+        // Send data packets `seqs` to id 5, then a marker to id 99: the
+        // demux thread routes in socket order, so the marker surfacing on
+        // its queue proves the data packets were routed (queued) before.
+        let send_and_settle = |seqs: std::ops::Range<u32>| {
+            for seq in seqs {
+                a.send(&data_pkt(5, seq), b.local_addr(), &instr).unwrap();
+            }
+            let mark = Packet::Control(ControlPacket::keepalive(99));
+            a.send(&mark, b.local_addr(), &instr).unwrap();
+            fence.recv_timeout(Duration::from_secs(5)).unwrap();
+        };
+        send_and_settle(0..3);
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let sink: Arc<dyn PacketSink> = seen.clone();
+        b.attach(5, &sink, &rx);
+        assert_eq!(*seen.lock(), [0, 1, 2], "queued packets drain at attach");
+        send_and_settle(3..6);
+        // A sink may run after its wakeup's queue pushes: give it a moment.
+        let t0 = std::time::Instant::now();
+        while seen.lock().len() < 6 && t0.elapsed() < Duration::from_secs(5) {
+            std::thread::yield_now();
+        }
+        assert_eq!(*seen.lock(), [0, 1, 2, 3, 4, 5]);
+        assert!(rx.is_empty(), "nothing reaches the queue after attach");
     }
 }

@@ -57,8 +57,6 @@ pub(crate) struct ConnObs {
     pub ack_delivery_us: Arc<Histogram>,
     /// Packets handed to this connection per demux wakeup.
     pub rcv_batch_pkts: Arc<Histogram>,
-    /// Depth of the connection's inbound queue at each wakeup.
-    pub queue_depth_pkts: Arc<Histogram>,
 }
 
 /// One profiled connection: a weak handle on its [`Instrument`] plus the
@@ -139,10 +137,6 @@ impl MetricsHub {
             rcv_batch_pkts: h(
                 "udt_conn_rcv_batch_pkts",
                 "packets handed to the connection per demux wakeup",
-            ),
-            queue_depth_pkts: h(
-                "udt_conn_queue_depth_pkts",
-                "inbound queue depth at each receiver wakeup, packets",
             ),
         }
     }

@@ -71,8 +71,11 @@ fn gen_init_seq() -> SeqNo {
     SeqNo::new(rand::thread_rng().gen_range(0..=SEQ_MAX))
 }
 
-/// Depth of each connection's inbound packet queue.
-const CONN_QUEUE_DEPTH: usize = 8192;
+/// Depth, in packets, of the queue that holds a connection's inbound
+/// traffic while its handshake completes ([`Mux::attach`] then switches
+/// it to inline delivery). A peer can have its 16-packet initial window
+/// in flight before we answer; the mux floors the queue at 64 batches.
+const HANDSHAKE_QUEUE_PKTS: usize = 256;
 
 /// Cookie time buckets are this wide; a cookie is honoured for the bucket
 /// it was minted in plus the previous one, so its usable lifetime is
@@ -176,7 +179,7 @@ impl UdtConnection {
         };
         let mux = Mux::bind(bind_addr, &cfg)?;
         let local_id = gen_socket_id();
-        let rx = mux.register(local_id, CONN_QUEUE_DEPTH);
+        let rx = mux.register(local_id, HANDSHAKE_QUEUE_PKTS);
         let init_seq = cfg
             .force_init_seq
             .map(SeqNo::new)
@@ -266,7 +269,7 @@ impl UdtConnection {
                     Err(RecvTimeoutError::Timeout) => continue,
                     Err(RecvTimeoutError::Disconnected) => return Err(UdtError::NotConnected),
                 };
-                for (pkt, from) in batch {
+                for (pkt, from, _) in batch {
                     let Packet::Control(c) = pkt else { continue };
                     let ControlBody::Handshake(h) = c.body else {
                         continue;
@@ -411,7 +414,7 @@ impl UdtConnection {
                                 from,
                                 init_seq,
                                 h.init_seq,
-                                rx,
+                                &rx,
                                 meta,
                                 auth_ctx,
                             );
@@ -485,7 +488,6 @@ impl UdtListener {
         check_auth_cfg(&cfg)?;
         let hub = crate::obs::init(&mut cfg)?;
         let mux = Mux::bind(addr, &cfg)?;
-        mux.set_tracer(&cfg.tracer);
         let hs_queue = mux.set_listener();
         let (tx, rx) = crossbeam::channel::bounded(cfg.accept_backlog.max(1));
         let stop = Arc::new(AtomicBool::new(false));
@@ -618,7 +620,7 @@ impl Drop for UdtListener {
 struct ListenerCtx {
     mux: Arc<Mux>,
     cfg: UdtConfig,
-    hs_queue: Receiver<(Packet, SocketAddr)>,
+    hs_queue: Receiver<crate::mux::MuxMsg>,
     accepted: Sender<UdtConnection>,
     stop: Arc<AtomicBool>,
     draining: Arc<AtomicBool>,
@@ -719,7 +721,7 @@ fn listener_service(ctx: ListenerCtx) {
             }
             rate.sweep(now);
         }
-        let (pkt, from) = match msg {
+        let (pkt, from, _) = match msg {
             Ok(m) => m,
             Err(RecvTimeoutError::Timeout) => continue,
             Err(RecvTimeoutError::Disconnected) => return,
@@ -929,7 +931,7 @@ fn listener_service(ctx: ListenerCtx) {
             conn_id: h.socket_id,
             body: ControlBody::Handshake(resp_h),
         });
-        let rx = ctx.mux.register(local_id, CONN_QUEUE_DEPTH);
+        let rx = ctx.mux.register(local_id, HANDSHAKE_QUEUE_PKTS);
         let conn_auth = if authenticated {
             req_auth.and_then(|af| {
                 let k = ctx.cfg.auth_key.as_ref()?;
@@ -971,7 +973,7 @@ fn listener_service(ctx: ListenerCtx) {
             from,
             our_init,
             h.init_seq,
-            rx,
+            &rx,
             meta,
             conn_auth,
         ) {
@@ -1075,6 +1077,43 @@ mod tests {
         let got = server.join().unwrap();
         assert_eq!(got.len(), payload.len());
         assert_eq!(got, payload);
+    }
+
+    #[test]
+    fn round_trips_stay_clean_and_on_the_mux_thread() {
+        use crate::stats::ConnStats;
+        const ROUNDS: u64 = 500;
+        let listener =
+            UdtListener::bind("127.0.0.1:0".parse().unwrap(), UdtConfig::default()).unwrap();
+        let addr = listener.local_addr();
+        let server = std::thread::spawn(move || {
+            let conn = listener.accept().unwrap();
+            let mut req = [0u8; 64];
+            for _ in 0..ROUNDS {
+                conn.recv_exact(&mut req).unwrap();
+                conn.send(&[req[0]; 1024]).unwrap();
+            }
+            (listener, conn)
+        });
+        let client = UdtConnection::connect(addr, UdtConfig::default()).unwrap();
+        let mut rsp = [0u8; 1024];
+        for i in 0..ROUNDS {
+            client.send(&[i as u8; 64]).unwrap();
+            client.recv_exact(&mut rsp).unwrap();
+            assert!(rsp.iter().all(|&b| b == i as u8), "round {i} echoed wrong");
+        }
+        let (_listener, server) = server.join().unwrap();
+        for (name, conn) in [("client", &client), ("server", &server)] {
+            let st = conn.stats();
+            assert_eq!(ConnStats::get(&st.pkts_received), ROUNDS, "{name}");
+            assert_eq!(ConnStats::get(&st.naks_sent), 0, "{name} sent NAKs");
+            assert_eq!(ConnStats::get(&st.naks_received), 0, "{name} got NAKs");
+            assert_eq!(ConnStats::get(&st.pkts_duplicate), 0, "{name} saw duplicates");
+            assert_eq!(ConnStats::get(&st.pkts_rejected), 0, "{name} rejected packets");
+            // One receive path: nothing was processed off the demux thread
+            // (neither side had data queued while its handshake ran).
+            assert_eq!(conn.sh.off_mux_data.load(Ordering::Relaxed), 0, "{name}");
+        }
     }
 
     #[test]

@@ -163,6 +163,11 @@ pub mod channel {
         pub fn is_empty(&self) -> bool {
             self.len() == 0
         }
+
+        /// Whether a bounded queue is at capacity.
+        pub fn is_full(&self) -> bool {
+            self.chan.full(&self.chan.lock())
+        }
     }
 
     impl<T> Receiver<T> {

@@ -241,3 +241,103 @@ fn jumbo_mss_works_on_loopback() {
     conn.close().unwrap();
     assert_eq!(server.join().unwrap(), data);
 }
+
+/// A connected pair over loopback: `(listener, server end, client end)`.
+fn pair() -> (UdtListener, UdtConnection, UdtConnection) {
+    let listener = UdtListener::bind("127.0.0.1:0".parse().unwrap(), cfg()).unwrap();
+    let addr = listener.local_addr();
+    let client = std::thread::spawn(move || UdtConnection::connect(addr, cfg()).unwrap());
+    let server = listener.accept().unwrap();
+    (listener, server, client.join().unwrap())
+}
+
+#[test]
+fn idle_connection_keeps_its_timers_running() {
+    // No packet traffic wakes the timer threads: for three idle seconds
+    // they must keep EXP firing on their own. Each firing sends a
+    // keep-alive; one that arrives resets the receiving side's EXP, so
+    // whichever side fires first (on loopback: always the same one) keeps
+    // the other from ever firing. A side that fired at its 300 ms cadence
+    // (about nine times) while the other never did is keep-alives both
+    // sent and received; unanswered or unsent, each side would fire on its
+    // own back-off ladder instead.
+    let (_listener, server, client) = pair();
+    std::thread::sleep(std::time::Duration::from_secs(3));
+    let fired = |c: &UdtConnection| ConnStats::get(&c.stats().exp_timeouts);
+    let (most, least) = (
+        fired(&server).max(fired(&client)),
+        fired(&server).min(fired(&client)),
+    );
+    assert!(most >= 6, "EXP fired only {most} times in 3 idle seconds");
+    assert!(least <= 2, "keep-alives are not resetting the peer ({least})");
+    // Still connected, both ways, and both timer threads still tick: each
+    // end acknowledges what it received (a SYN period or so later).
+    let mut buf = [0u8; 8];
+    client.send(b"ping").unwrap();
+    assert_eq!(server.recv(&mut buf).unwrap(), 4);
+    server.send(b"pong").unwrap();
+    assert_eq!(client.recv(&mut buf).unwrap(), 4);
+    assert_eq!(&buf[..4], b"pong");
+    let t0 = std::time::Instant::now();
+    for (name, conn) in [("server", &server), ("client", &client)] {
+        while ConnStats::get(&conn.stats().acks_sent) == 0 {
+            let waited = t0.elapsed();
+            assert!(waited.as_secs() < 5, "{name}: timer thread sent no ACK");
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+    }
+}
+
+/// The smallest of three measurements: on a loaded test host scheduling
+/// noise only ever adds to a latency, so the best attempt bounds what the
+/// code itself costs, while a real defect slows all three.
+fn best_of_three(measure: impl Fn() -> std::time::Duration) -> std::time::Duration {
+    (0..3).map(|_| measure()).min().unwrap()
+}
+
+#[test]
+fn blocked_recv_sees_peer_close_promptly() {
+    let late = best_of_three(|| {
+        let (_listener, server, client) = pair();
+        let reader = std::thread::spawn(move || {
+            let mut buf = [0u8; 64];
+            let n = server.recv(&mut buf).unwrap();
+            (n, std::time::Instant::now())
+        });
+        // Let the reader block on the empty buffer (and sit out a couple of
+        // its own wait timeouts), then close.
+        std::thread::sleep(std::time::Duration::from_millis(250));
+        let t0 = std::time::Instant::now();
+        client.close().unwrap();
+        let (n, woke) = reader.join().unwrap();
+        assert_eq!(n, 0, "EOF, not data");
+        woke.saturating_duration_since(t0)
+    });
+    assert!(
+        late < std::time::Duration::from_millis(20),
+        "recv() returned {late:?} after the peer's close() began"
+    );
+}
+
+#[test]
+fn close_on_a_flushed_connection_joins_its_threads_promptly() {
+    // 30 ms of close() is the two 15 ms gaps between Shutdown copies; the
+    // rest — a final ACK and joining the sender and timer threads — must
+    // not add a timer tick (10 ms) on top.
+    let took = best_of_three(|| {
+        let (_listener, server, client) = pair();
+        client.send(b"x").unwrap();
+        let mut buf = [0u8; 8];
+        assert_eq!(server.recv(&mut buf).unwrap(), 1);
+        while client.unflushed_pkts() > 0 {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        let t0 = std::time::Instant::now();
+        client.close().unwrap();
+        t0.elapsed()
+    });
+    assert!(
+        took < std::time::Duration::from_millis(45),
+        "close() took {took:?}"
+    );
+}
