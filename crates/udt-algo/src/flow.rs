@@ -37,6 +37,9 @@ pub struct FlowWindow {
     /// Floor applied before the arrival-speed filter warms up.
     min_window: u32,
     current: u32,
+    /// `current` has been computed from an arrival-speed estimate at least
+    /// once (until then it is the cold-start floor).
+    measured: bool,
 }
 
 /// Default minimum window: enough to keep the estimator fed from a cold
@@ -50,6 +53,7 @@ impl FlowWindow {
             max_window,
             min_window: MIN_FLOW_WINDOW.min(max_window),
             current: MIN_FLOW_WINDOW.min(max_window),
+            measured: false,
         }
     }
 
@@ -71,6 +75,7 @@ impl FlowWindow {
         if speed > 0.0 {
             let w = speed * (syn.as_secs_f64() + rtt.rtt().as_secs_f64());
             self.current = (w as u32).clamp(self.min_window, self.max_window);
+            self.measured = true;
         }
         self.current
     }
@@ -84,6 +89,13 @@ impl FlowWindow {
     #[inline]
     pub fn current(&self) -> u32 {
         self.current
+    }
+
+    /// Whether the window has ever been computed from a measured arrival
+    /// speed; `false` while it is still the cold-start floor.
+    #[inline]
+    pub fn is_measured(&self) -> bool {
+        self.measured
     }
 }
 
@@ -108,6 +120,9 @@ mod tests {
         let h = PktTimeWindow::new();
         let rtt = RttEstimator::new(Nanos::from_millis(100));
         assert_eq!(w.update(&h, &rtt), MIN_FLOW_WINDOW);
+        assert!(!w.is_measured());
+        w.update(&warm_history(100), &rtt);
+        assert!(w.is_measured());
     }
 
     #[test]

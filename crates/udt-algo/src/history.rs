@@ -16,6 +16,17 @@
 //! of the window, keep only samples within `[median/8, median·8]`, and
 //! require at least half the window to survive; the estimate is
 //! `survivors / sum(survivor intervals)`.
+//!
+//! A receiver that takes packets from the kernel in *trains* (one message,
+//! one arrival stamp, `n` packets) has one interval per stamp, not per
+//! packet. A stamp is one sample standing for `n` arrivals
+//! ([`PktTimeWindow::on_train_arrival`]): the filter sees its per-packet
+//! spacing and gives it one vote, the estimate counts its packets.
+//! Spreading a train over `n` window slots instead would let the one idle
+//! gap before a 16-packet train fill the whole window — the very gap the
+//! median exists to drop. Which stamps bound a sample, and how many packets
+//! it stands for, is the caller's to say (the socket takes the first stamp
+//! of each sender flush: `udt::conn`, `note_arrivals`).
 
 // Numeric casts in this module are deliberate: bounded protocol arithmetic,
 // 32-bit wire fields, and clock/rate conversions whose ranges are argued at
@@ -32,12 +43,13 @@ pub const PROBE_WINDOW: usize = 16;
 /// Receiver-side packet timing history.
 #[derive(Debug, Clone)]
 pub struct PktTimeWindow {
-    /// Arrival intervals, nanoseconds.
-    intervals: [u64; ARRIVAL_WINDOW],
+    /// Arrival samples: per-packet interval in nanoseconds, and how many
+    /// arrivals were spaced by it (0 = empty slot).
+    intervals: [(u64, u32); ARRIVAL_WINDOW],
     interval_pos: usize,
     last_arrival: Option<Nanos>,
-    /// Packet-pair spacings, nanoseconds.
-    probes: [u64; PROBE_WINDOW],
+    /// Packet-pair spacings, nanoseconds (one pair each).
+    probes: [(u64, u32); PROBE_WINDOW],
     probe_pos: usize,
     first_probe_arrival: Option<Nanos>,
 }
@@ -46,10 +58,10 @@ impl PktTimeWindow {
     /// Fresh, empty history.
     pub fn new() -> PktTimeWindow {
         PktTimeWindow {
-            intervals: [0; ARRIVAL_WINDOW],
+            intervals: [(0, 0); ARRIVAL_WINDOW],
             interval_pos: 0,
             last_arrival: None,
-            probes: [0; PROBE_WINDOW],
+            probes: [(0, 0); PROBE_WINDOW],
             probe_pos: 0,
             first_probe_arrival: None,
         }
@@ -57,9 +69,21 @@ impl PktTimeWindow {
 
     /// Record a data packet arrival at `now`.
     pub fn on_pkt_arrival(&mut self, now: Nanos) {
+        self.on_train_arrival(now, 1);
+    }
+
+    /// Record that `n` data packets arrived in the time from the previous
+    /// stamp to `now`: a train the kernel handed over as one message with
+    /// one stamp, or a sender's whole flush of such trains. They count as
+    /// `n` arrivals evenly spaced over that time — one sample of weight `n`.
+    /// `n = 1` is [`PktTimeWindow::on_pkt_arrival`].
+    pub fn on_train_arrival(&mut self, now: Nanos, n: u32) {
+        if n == 0 {
+            return;
+        }
         if let Some(last) = self.last_arrival {
-            let gap = now.since(last).0;
-            self.intervals[self.interval_pos] = gap;
+            let gap = now.since(last).0 / u64::from(n);
+            self.intervals[self.interval_pos] = (gap, n);
             self.interval_pos = (self.interval_pos + 1) % ARRIVAL_WINDOW;
         }
         self.last_arrival = Some(now);
@@ -70,12 +94,22 @@ impl PktTimeWindow {
         self.first_probe_arrival = Some(now);
     }
 
-    /// Record the arrival of the *second* packet of a probe pair.
+    /// Record the arrival of the *second* packet of a probe pair. A pair that
+    /// shares one stamp (both packets inside one train) has no measurable
+    /// dispersion and records nothing.
     pub fn on_probe2_arrival(&mut self, now: Nanos) {
+        self.on_probe2_train_arrival(now, 1);
+    }
+
+    /// [`PktTimeWindow::on_probe2_arrival`] for a second packet that heads a
+    /// train of `n` stamped `now`: the stamp is the train's, so the spacing
+    /// from the pair's first packet is the time `n` packets took to cross,
+    /// not one.
+    pub fn on_probe2_train_arrival(&mut self, now: Nanos, n: u32) {
         if let Some(first) = self.first_probe_arrival.take() {
-            let gap = now.since(first).0;
+            let gap = now.since(first).0 / u64::from(n.max(1));
             if gap > 0 {
-                self.probes[self.probe_pos] = gap;
+                self.probes[self.probe_pos] = (gap, 1);
                 self.probe_pos = (self.probe_pos + 1) % PROBE_WINDOW;
             }
         }
@@ -101,33 +135,39 @@ impl Default for PktTimeWindow {
     }
 }
 
-/// Shared filter: median, keep samples in `[m/8, 8m]`, rate = n/Σ.
+/// Shared filter over `(interval, arrivals)` samples: median interval, keep
+/// samples in `[m/8, 8m]`, rate = arrivals / time they took. One sample,
+/// one vote, whatever its weight: an idle gap is one outlier whether a
+/// packet or a train follows it. With one arrival per sample this is the
+/// reference filter, bit for bit.
 ///
 /// `require_majority` demands that more than half the window survive (used
 /// for arrival speed, where bursts of tiny probe-gaps and idle gaps must not
 /// produce an estimate from a sliver of samples). Capacity probes accept any
 /// non-empty survivor set, as the reference implementation does.
-fn median_filtered_rate(window: &[u64], require_majority: bool) -> f64 {
-    let mut sorted: Vec<u64> = window.iter().copied().filter(|&v| v > 0).collect();
+fn median_filtered_rate(window: &[(u64, u32)], require_majority: bool) -> f64 {
+    let mut sorted: Vec<(u64, u32)> = window.iter().copied().filter(|&(v, _)| v > 0).collect();
     if sorted.is_empty() {
         return 0.0;
     }
     if require_majority && sorted.len() <= window.len() / 2 {
         return 0.0;
     }
-    sorted.sort_unstable();
-    let median = sorted[sorted.len() / 2];
+    sorted.sort_unstable_by_key(|&(v, _)| v);
+    let median = sorted[sorted.len() / 2].0;
     let lower = median / 8;
     let upper = median.saturating_mul(8);
+    let mut samples = 0;
     let mut count: u64 = 0;
     let mut sum: u64 = 0;
-    for &v in &sorted {
+    for &(v, n) in &sorted {
         if v > lower && v < upper {
-            count += 1;
-            sum += v;
+            samples += 1;
+            count += u64::from(n);
+            sum += v * u64::from(n);
         }
     }
-    if require_majority && count as usize <= window.len() / 2 {
+    if require_majority && samples <= window.len() / 2 {
         return 0.0;
     }
     if count == 0 || sum == 0 {
@@ -198,6 +238,65 @@ mod tests {
         }
         let bw = w.bandwidth();
         assert!((bw - 83_333.3).abs() < 100.0, "bw={bw}");
+    }
+
+    #[test]
+    fn trains_count_every_packet_they_carry() {
+        let mut w = PktTimeWindow::new();
+        // 16 trains of 8 packets, one stamp each, 100 µs apart: 80 k pkt/s.
+        for k in 0..=16u64 {
+            w.on_train_arrival(Nanos::from_micros(100 * k), 8);
+        }
+        let speed = w.pkt_recv_speed();
+        assert!((speed - 80_000.0).abs() < 1.0, "speed={speed}");
+    }
+
+    #[test]
+    fn idle_gap_before_a_train_is_one_outlier() {
+        // A window-limited sender: every 10 ms (one ACK) a burst of four
+        // 16-packet trains 20 µs apart. Whenever the window is read, the
+        // answer is the burst's rate, not the ACK clock's.
+        let mut w = PktTimeWindow::new();
+        let mut t = Nanos::ZERO;
+        for burst in 0..8 {
+            for k in 0..4 {
+                let gap = if k == 0 { 10_000 } else { 20 };
+                t = t.plus(Nanos::from_micros(gap));
+                w.on_train_arrival(t, 16);
+                if burst >= 5 {
+                    let speed = w.pkt_recv_speed();
+                    assert!((speed - 800_000.0).abs() < 1.0, "speed={speed}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn trains_of_one_are_single_arrivals() {
+        let (mut singles, mut trains) = (PktTimeWindow::new(), PktTimeWindow::new());
+        let mut t = Nanos::ZERO;
+        for i in 0..40u64 {
+            singles.on_pkt_arrival(t);
+            trains.on_train_arrival(t, 1);
+            t = t.plus(Nanos(60_000 + (i % 7) * 900));
+        }
+        assert_eq!(singles.intervals, trains.intervals);
+        assert_eq!(singles.pkt_recv_speed(), trains.pkt_recv_speed());
+        assert!(singles.pkt_recv_speed() > 0.0);
+    }
+
+    #[test]
+    fn probe_pair_inside_one_train_records_nothing() {
+        let mut w = PktTimeWindow::new();
+        let t = Nanos::from_micros(500);
+        w.on_train_arrival(t, 8);
+        w.on_probe1_arrival(t);
+        w.on_probe2_arrival(t);
+        assert_eq!(w.bandwidth(), 0.0);
+        // The next pair, split over two stamps, is a sample again.
+        w.on_probe1_arrival(t.plus(Nanos::from_micros(100)));
+        w.on_probe2_arrival(t.plus(Nanos::from_micros(112)));
+        assert!((w.bandwidth() - 83_333.3).abs() < 100.0);
     }
 
     #[test]

@@ -145,6 +145,9 @@ pub(crate) struct RcvCtl {
     pub buffer: RcvBuffer,
     pub loss: RcvLossList,
     pub history: PktTimeWindow,
+    /// Sender timestamp of the flush now arriving and its data packets so
+    /// far: see [`Shared::note_arrivals`].
+    pub arriving: Option<(u32, u32)>,
     pub rtt: RttEstimator,
     pub ackw: AckWindow,
     pub flow: FlowWindow,
@@ -327,6 +330,9 @@ pub(crate) struct Shared {
     pub obs: Option<crate::obs::ConnObs>,
     /// EWMA of the wall-clock cost of one UDP send, nanoseconds (§4.4).
     pub send_cost_ns: AtomicU64,
+    /// When anything was last sent to the peer (connection clock,
+    /// nanoseconds): a keep-alive is answered only after a silence of ours.
+    last_sent_ns: AtomicU64,
     /// Authenticated-profile context, when the handshake negotiated one:
     /// every outbound packet gets a trailer tag; the mux verifies inbound
     /// tags before packets ever reach this connection.
@@ -407,13 +413,92 @@ impl Shared {
 
     /// Send `pkts` (control, or one data burst) to the peer as one flush;
     /// returns the flush's wall-clock cost in nanoseconds.
-    fn flush(&self, pkts: &[Packet]) -> std::io::Result<u64> {
+    fn flush(&self, pkts: &[Packet], now: Nanos) -> std::io::Result<u64> {
+        self.last_sent_ns.store(now.0, Ordering::Relaxed);
         let auth = self.auth.as_deref();
         self.mux.send_batch(pkts, self.peer_addr, &self.instr, auth)
     }
 
     fn send_ctrl(&self, body: ControlBody, now: Nanos) {
-        let _ = self.flush(&[self.ctrl_pkt(body, now)]);
+        let _ = self.flush(&[self.ctrl_pkt(body, now)], now);
+    }
+
+    /// Feed the receiver's estimators the arrival stamps of a batch's data
+    /// packets. Stamps are on the mux's timeline (kernel receive time where
+    /// available), so the estimators measure the path and not how long this
+    /// process took to get to each packet; everything else runs on the
+    /// connection clock.
+    ///
+    /// Packets sharing a stamp crossed as one train, and where trains arrive
+    /// the unit of arrival is the sender's *flush* (its trains carry one
+    /// sender timestamp): a flush's packets count as that many arrivals over
+    /// the time from its first stamp to the next flush's first stamp. The
+    /// spacing of two trains *within* a flush is not the path's: on loopback
+    /// it is how long this host's receive path ran on the first train before
+    /// the sender got back to its `sendmmsg` (a near-constant 15–20 us here),
+    /// which divided by the second train's length is a figure set by where
+    /// the probe-pair cut fell in the flush, i.e. by the connection's random
+    /// initial sequence number. Flush to flush is what the paper's receiver
+    /// measures packet to packet: back-to-back flushes show the rate the path
+    /// and the two hosts sustain, a paced sender's show its rate, and the one
+    /// wait for an ACK per window is the outlier the median drops. Single
+    /// packets are flushes of one even when they share a sender timestamp
+    /// (a relay or a plain socket spaced them), so a path that delivers
+    /// single packets is measured packet by packet, as ever.
+    fn note_arrivals(&self, batch: &MuxBatch) {
+        let mut r = self.rcv.lock();
+        let _m = self.instr.scope(Category::Measurement);
+        let mut rest = batch.as_slice();
+        while let Some(&(_, _, stamp)) = rest.first() {
+            let train = rest.iter().take_while(|m| m.2 == stamp).count();
+            let data = rest[..train].iter().filter_map(|(pkt, ..)| match pkt {
+                Packet::Data(d) => Some(d),
+                Packet::Control(_) => None,
+            });
+            let (mut n, mut flush, mut pair_second) = (0u32, 0, false);
+            for d in data {
+                if n == 0 {
+                    flush = d.timestamp_us;
+                }
+                n += 1;
+                match d.seq.raw() % PROBE_INTERVAL {
+                    0 => r.history.on_probe1_arrival(stamp),
+                    1 => pair_second = true,
+                    _ => {}
+                }
+            }
+            rest = &rest[train..];
+            if n == 0 {
+                continue;
+            }
+            let r = &mut *r;
+            note_train(&mut r.history, &mut r.arriving, (flush, n), stamp);
+            if pair_second {
+                r.history.on_probe2_train_arrival(stamp, n);
+            }
+        }
+    }
+}
+
+/// One arriving train — `(sender timestamp, packets)`, a single packet
+/// being a train of one — stamped `stamp`: either more of the flush
+/// `arriving` (same form, packets so far), or the start of the next, which
+/// makes the finished flush one arrival-speed sample
+/// ([`Shared::note_arrivals`]).
+fn note_train(
+    history: &mut PktTimeWindow,
+    arriving: &mut Option<(u32, u32)>,
+    train: (u32, u32),
+    stamp: Nanos,
+) {
+    match *arriving {
+        Some((flush, pkts)) if flush == train.0 && (pkts > 1 || train.1 > 1) => {
+            *arriving = Some((flush, pkts + train.1));
+        }
+        prev => {
+            history.on_train_arrival(stamp, prev.map_or(1, |p| p.1));
+            *arriving = Some(train);
+        }
     }
 }
 
@@ -478,6 +563,7 @@ impl UdtConnection {
                 buffer: RcvBuffer::new(cfg.rcv_buf_pkts as usize, rcv_init),
                 loss: RcvLossList::new(loss_cap),
                 history: PktTimeWindow::new(),
+                arriving: None,
                 rtt: RttEstimator::new(Nanos::from_millis(100)),
                 ackw: AckWindow::default(),
                 flow: FlowWindow::new(cfg.rcv_buf_pkts),
@@ -500,6 +586,7 @@ impl UdtConnection {
             instr: Instrument::new(),
             obs,
             send_cost_ns: AtomicU64::new(0),
+            last_sent_ns: AtomicU64::new(0),
             auth,
             #[cfg(test)]
             off_mux_data: AtomicU64::new(0),
@@ -829,14 +916,15 @@ fn pick_burst(s: &mut SndCtl, n_target: usize, out: &mut Vec<(SeqNo, Bytes, bool
     }
 }
 
-/// Transmit the picked burst as one socket flush (`sendmmsg` when the mux
-/// has it; a single packet — all `snd_batch_pkts = 1` ever picks — goes
-/// out as the plain `send_to` it always was); `pkts` is scratch. The §4.4
-/// send-cost EWMA absorbs the *per-packet* share of the flush cost, which
-/// is precisely what batching improves.
+/// Transmit the picked burst as one socket flush (trains in one `sendmmsg`
+/// when the mux has them; a single packet — all `snd_batch_pkts = 1` ever
+/// picks — goes out as the plain `send_to` it always was); `pkts` is
+/// scratch. The §4.4 send-cost EWMA absorbs the *per-packet* share of the
+/// flush cost, which is precisely what batching improves.
 fn transmit_burst(sh: &Shared, picked: &mut Vec<(SeqNo, Bytes, bool)>, pkts: &mut Vec<Packet>) {
     let n = picked.len() as u64;
-    let timestamp_us = wire_ts(sh.clock.now());
+    let now = sh.clock.now();
+    let timestamp_us = wire_ts(now);
     for (seq, payload, retx) in picked.drain(..) {
         let sent = if retx {
             &sh.stats.pkts_retransmitted
@@ -857,19 +945,30 @@ fn transmit_burst(sh: &Shared, picked: &mut Vec<(SeqNo, Bytes, bool)>, pkts: &mu
             payload,
         }));
     }
-    if let Ok(cost) = sh.flush(pkts) {
+    if let Ok(cost) = sh.flush(pkts, now) {
         // §4.4: feed the measured per-packet send cost back as the period
-        // floor.
-        let per_pkt = cost / n;
+        // floor. The cost is wall clock, and a flush the scheduler parked
+        // mid-syscall reads tens of times the real cost; the controller
+        // raises the period to the floor and only additive increase brings
+        // it back, so one such reading seen by one ACK used to set the pace
+        // of a short connection. No sample counts for more than twice the
+        // running estimate: an outlier moves it by an eighth, a cost that
+        // really rose is still followed within a few flushes.
         let old = sh.send_cost_ns.load(Ordering::Relaxed);
-        let new = if old == 0 {
-            per_pkt
-        } else {
-            (old * 7 + per_pkt) / 8
-        };
-        sh.send_cost_ns.store(new, Ordering::Relaxed);
+        sh.send_cost_ns
+            .store(smoothed_send_cost(old, cost / n), Ordering::Relaxed);
     }
     pkts.clear();
+}
+
+/// The send-cost EWMA (7:1, seeded by the first sample) after one more
+/// per-packet reading, which counts for at most twice the estimate so far.
+fn smoothed_send_cost(old: u64, per_pkt: u64) -> u64 {
+    if old == 0 {
+        per_pkt
+    } else {
+        (old * 7 + per_pkt.min(2 * old)) / 8
+    }
 }
 
 /// The sender thread: pace data packets by the rate controller's period,
@@ -1033,16 +1132,17 @@ impl PacketSink for Shared {
         if let Some(o) = &self.obs {
             o.rcv_batch_pkts.record(batch.len() as u64);
         }
+        self.note_arrivals(batch);
         RX_SCRATCH.with(|cell| {
             let rx = &mut *cell.borrow_mut();
-            for (pkt, _from, arrival) in batch.drain(..) {
-                process_packet(self, pkt, arrival, rx);
+            for (pkt, ..) in batch.drain(..) {
+                process_packet(self, pkt, rx);
             }
             if !rx.ctrl.is_empty() {
                 let now = self.clock.now();
                 let replies = rx.ctrl.drain(..).map(|body| self.ctrl_pkt(body, now));
                 rx.pkts.extend(replies);
-                let _ = self.flush(&rx.pkts);
+                let _ = self.flush(&rx.pkts, now);
                 rx.pkts.clear();
             }
             if std::mem::take(&mut rx.wake_rcv) {
@@ -1055,10 +1155,10 @@ impl PacketSink for Shared {
     }
 }
 
-fn process_packet(sh: &Shared, pkt: Packet, arrival: Nanos, rx: &mut RxScratch) {
+fn process_packet(sh: &Shared, pkt: Packet, rx: &mut RxScratch) {
     let now = sh.clock.now();
     match pkt {
-        Packet::Data(d) => handle_data(sh, d, now, arrival, rx),
+        Packet::Data(d) => handle_data(sh, d, now, rx),
         Packet::Control(c) => {
             let _t = sh.instr.scope(Category::Control);
             match c.body {
@@ -1089,31 +1189,35 @@ fn process_packet(sh: &Shared, pkt: Packet, arrival: Nanos, rx: &mut RxScratch) 
                     }
                     sh.set_state(State::Closed);
                 }
-                ControlBody::KeepAlive | ControlBody::Handshake(_) => {}
+                ControlBody::KeepAlive => {
+                    // The peer's EXP fired on an idle connection. Whatever
+                    // arrives refreshes *our* EXP, so we may never probe in
+                    // turn: unless we sent something lately, answer, or the
+                    // peer hears nothing until it declares us dead. The
+                    // answer is itself a send (this batch's flush records
+                    // it), so two idle ends exchange one keep-alive each
+                    // per EXP interval, not a rally.
+                    let quiet = {
+                        let s = sh.snd.lock();
+                        ExpBackoff::new().interval(s.rtt.rtt_us(), s.rtt.rtt_var_us())
+                    };
+                    let last_sent = Nanos(sh.last_sent_ns.load(Ordering::Relaxed));
+                    if now.since(last_sent) >= quiet {
+                        rx.ctrl.push(ControlBody::KeepAlive);
+                    }
+                }
+                ControlBody::Handshake(_) => {}
             }
         }
     }
 }
 
-/// `arrival` is when the packet reached the socket, on the mux's stamp
-/// timeline (kernel receive time where available): the history estimators
-/// take spacings from it, so they measure the path and not how long this
-/// process took to get to each packet. Everything else runs on `now`.
-fn handle_data(sh: &Shared, d: DataPacket, now: Nanos, arrival: Nanos, rx: &mut RxScratch) {
+fn handle_data(sh: &Shared, d: DataPacket, now: Nanos, rx: &mut RxScratch) {
     #[cfg(test)]
     if std::thread::current().name() != Some("udt-mux") {
         sh.off_mux_data.fetch_add(1, Ordering::Relaxed);
     }
     let mut r = sh.rcv.lock();
-    {
-        let _m = sh.instr.scope(Category::Measurement);
-        r.history.on_pkt_arrival(arrival);
-        if d.seq.raw().is_multiple_of(PROBE_INTERVAL) {
-            r.history.on_probe1_arrival(arrival);
-        } else if d.seq.raw() % PROBE_INTERVAL == 1 {
-            r.history.on_probe2_arrival(arrival);
-        }
-    }
     // Plausibility gate before any state is mutated: a sequence number the
     // peer could legitimately send lies within the flow window ahead of the
     // delivery base. A corrupted header can carry any value; letting it
@@ -1359,6 +1463,17 @@ fn send_periodic_ack(sh: &Shared, now: Nanos) {
     let held = r.buffer.held_pkts(r.lrsn);
     let cap_pkts = r.buffer.cap_pkts();
     let avail = (cap_pkts as u32).saturating_sub(held);
+    // Until the arrival-speed filter has spoken, W is its cold-start floor
+    // of 16 — "enough to keep the estimator fed" when 16 packets are 15
+    // intervals, not when they are one flush and none. A sender told 16
+    // leaves slow start on this very ACK, at whatever period an unmeasured
+    // path suggests; told the free buffer, it sends a second, larger window
+    // and the next ACK carries a measurement.
+    let window = if r.flow.is_measured() {
+        r.flow.advertised(avail)
+    } else {
+        avail.max(2)
+    };
     // udt-lint: allow(seq-cmp) — ack_seq is the ACK *message* counter, not a packet seqno
     r.ack_seq = r.ack_seq.wrapping_add(1);
     // RTT estimates fit the protocol's 32-bit microsecond fields.
@@ -1368,7 +1483,7 @@ fn send_periodic_ack(sh: &Shared, now: Nanos) {
         ack_no,
         rtt_us,
         rtt_var_us,
-        r.flow.advertised(avail),
+        window,
         r.history.pkt_recv_speed() as u32,
         r.history.bandwidth() as u32,
     );
@@ -1492,6 +1607,75 @@ mod tests {
 
     fn sq(v: u32) -> SeqNo {
         SeqNo::new(v)
+    }
+
+    /// Arrival speed after 40 flushes of 16 packets, 100 us apart, each cut
+    /// into trains of `first` and `16 - first` packets stamped 18 us apart
+    /// (the receive path runs on the first train before the sender's
+    /// `sendmmsg` gets to the second), or sent as 16 single packets.
+    fn speed_of_flushes(first: u32, singles: bool) -> f64 {
+        let (mut h, mut arriving) = (PktTimeWindow::new(), None);
+        for k in 0..40u32 {
+            let t = Nanos::from_micros(u64::from(100 * k));
+            if singles {
+                for i in 0..16 {
+                    let at = t.plus(Nanos::from_micros(2 * i));
+                    note_train(&mut h, &mut arriving, (100 * k, 1), at);
+                }
+            } else {
+                note_train(&mut h, &mut arriving, (100 * k, first), t);
+                if first < 16 {
+                    let at = t.plus(Nanos::from_micros(18));
+                    note_train(&mut h, &mut arriving, (100 * k, 16 - first), at);
+                }
+            }
+        }
+        h.pkt_recv_speed()
+    }
+
+    #[test]
+    fn arrival_speed_does_not_depend_on_where_a_flush_was_cut() {
+        // 16 packets every 100 us are 160 k pkt/s wherever the probe-pair
+        // cut fell (a connection's initial sequence number decides that).
+        for first in [1, 4, 8, 13, 15, 16] {
+            let speed = speed_of_flushes(first, false);
+            assert!((speed - 160_000.0).abs() < 1.0, "cut at {first}: {speed}");
+        }
+        // Single packets are measured packet to packet even when they share
+        // a sender timestamp: 15 spacings of 2 us a flush, and one pause.
+        let speed = speed_of_flushes(0, true);
+        assert!((speed - 500_000.0).abs() < 1.0, "singles: {speed}");
+    }
+
+    #[test]
+    fn the_wait_for_an_ack_is_one_outlier_among_flushes() {
+        // Slow start: windows of 4, then 8 flushes back to back (40 us),
+        // one ACK clock (10 ms) apart. Nine samples are a majority.
+        let (mut h, mut arriving) = (PktTimeWindow::new(), None);
+        let mut us = 0u32;
+        for window in [4u32, 8] {
+            for k in 0..window {
+                let t = Nanos::from_micros(u64::from(us));
+                note_train(&mut h, &mut arriving, (us, 11), t);
+                note_train(&mut h, &mut arriving, (us, 5), t.plus(Nanos::from_micros(18)));
+                us += if k + 1 == window { 10_000 } else { 40 };
+            }
+        }
+        assert!((h.pkt_recv_speed() - 400_000.0).abs() < 1.0);
+    }
+
+    #[test]
+    fn one_parked_flush_does_not_set_the_send_cost_floor() {
+        assert_eq!(smoothed_send_cost(0, 1_500), 1_500);
+        // A flush descheduled mid-syscall: 40 us a packet against 1.5.
+        let after = smoothed_send_cost(1_500, 40_000);
+        assert_eq!(after, 1_687, "an eighth of the way to twice the estimate");
+        // A cost that really doubled is followed: within 10 % in 20 flushes.
+        let mut cost = 1_500;
+        for _ in 0..20 {
+            cost = smoothed_send_cost(cost, 3_000);
+        }
+        assert!((2_700..=3_000).contains(&cost), "cost={cost}");
     }
 
     #[test]

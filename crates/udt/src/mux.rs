@@ -2,7 +2,8 @@
 //!
 //! Every UDT packet carries a destination connection id; a single demux
 //! thread drains the socket in batches (one `recvmmsg` per wakeup on
-//! Linux, see [`crate::mmsg`]) into pooled buffers, groups each decoded
+//! Linux, each message a datagram or a whole train of them, see
+//! [`crate::mmsg`]), one pooled buffer per packet, groups each decoded
 //! batch by connection id (handshake requests, which carry id 0, go to the
 //! listener queue) and **runs every established connection's share to
 //! completion right there**, through the [`PacketSink`] its id maps to —
@@ -11,13 +12,15 @@
 //! remains only where a blocking caller needs one: the handshake phase of
 //! `connect`/the listener ([`Mux::register`], then [`Mux::attach`]) and
 //! the raw pump in [`crate::datapath`]. Sends go out through the shared
-//! socket from any thread, coalesced into `sendmmsg` flushes when the
-//! caller has more than one packet.
+//! socket from any thread; a caller's burst is one flush, cut into trains
+//! of equal-length packets that each cross the kernel as one message.
 //!
 //! Steady-state allocation discipline: receive buffers come from the
-//! recycling [`BufPool`], send buffers from per-thread scratch slots, and
-//! the per-connection grouping vectors are demux-thread scratch reused
-//! across wakeups; only a queue route takes ownership of its batch vector.
+//! recycling [`BufPool`] (the receive call copies each packet out of its
+//! train into one), send buffers and the flush's header arrays from
+//! per-thread scratch, and the per-connection grouping vectors are
+//! demux-thread scratch reused across wakeups; only a queue route takes
+//! ownership of its batch vector.
 
 // Numeric casts in this module are deliberate: bounded protocol arithmetic,
 // 32-bit wire fields, and clock/rate conversions whose ranges are argued at
@@ -34,7 +37,7 @@ use std::time::Duration;
 use bytes::BytesMut;
 use crossbeam::channel::{Receiver, Sender};
 use parking_lot::Mutex;
-use udt_algo::Nanos;
+use udt_algo::{Nanos, PROBE_INTERVAL};
 use udt_metrics::counters::{BatchCounters, BatchSnapshot};
 use udt_proto::ctrl::type_code;
 use udt_proto::{decode, encode, Packet, SeqNo};
@@ -43,7 +46,7 @@ use udt_trace::{DropReason, EventKind, Tracer};
 use crate::auth::AuthCtx;
 use crate::config::UdtConfig;
 use crate::instrument::{Category, Instrument};
-use crate::mmsg::{thread_cpu_ns, BatchIo, Datagram, RecvScratch};
+use crate::mmsg::{thread_cpu_ns, BatchIo, Datagram, RecvScratch, SendScratch};
 use crate::pool::BufPool;
 
 /// A routed inbound packet: the packet, its source, and its arrival stamp
@@ -90,7 +93,8 @@ pub(crate) struct Mux {
     /// packets are dropped *before* decode, so they can never reach the
     /// connection's protocol state (no EXP refresh, no forged Shutdown).
     auth: Mutex<HashMap<u32, Arc<AuthCtx>>>,
-    /// Batched syscall front end (`recvmmsg`/`sendmmsg` or fallback).
+    /// Batched syscall front end (trains over `recvmmsg`/`sendmmsg`, or
+    /// the per-datagram fallback).
     io: BatchIo,
     /// Recycled receive buffers; zero per-packet allocation in steady
     /// state.
@@ -100,7 +104,8 @@ pub(crate) struct Mux {
     /// Batch-size histograms, present only when the config carries a
     /// [`crate::obs::MetricsHub`].
     obs: Option<MuxObs>,
-    /// Max datagrams drained per demux wakeup (`rcv_batch_pkts`).
+    /// Max messages (datagrams or trains) drained per demux wakeup
+    /// (`rcv_batch_pkts`).
     rcv_batch: usize,
     /// Where demux-level drops (queue shed) are recorded.
     tracer: Tracer,
@@ -151,6 +156,13 @@ impl Mux {
         // Arrival times for the receiver's packet-pair and arrival-speed
         // estimators must not depend on when this process gets to a packet.
         crate::mmsg::enable_arrival_stamps(&socket);
+        let rcv_batch = cfg.rcv_batch_pkts.max(1) as usize;
+        if rcv_batch > 1 {
+            // Take trains whole; the batched receive splits them. (The
+            // one-datagram receive of `rcv_batch_pkts = 1` cannot: there
+            // the kernel splits them before they are queued.)
+            crate::mmsg::enable_trains(&socket);
+        }
         let counters = Arc::new(BatchCounters::new());
         // Stride covers a full data packet plus trailer tag, with a floor
         // that fits every control packet (largest: a 64-range NAK).
@@ -201,7 +213,7 @@ impl Mux {
             pool,
             counters,
             obs,
-            rcv_batch: cfg.rcv_batch_pkts.max(1) as usize,
+            rcv_batch,
             tracer: cfg.tracer.clone(),
         });
         let weak = Arc::downgrade(&mux);
@@ -209,7 +221,7 @@ impl Mux {
         let handle = std::thread::Builder::new()
             .name("udt-mux".into())
             .spawn(move || {
-                let mut scratch = RecvScratch::new();
+                let mut scratch = RecvScratch::default();
                 // Raw datagrams land here, then regroup per connection id;
                 // both vectors (and the groups' inner ones) are reused.
                 let mut raw: Vec<Datagram> = Vec::with_capacity(64);
@@ -460,11 +472,14 @@ impl Mux {
     }
 
     /// Encode and send a burst of packets to one destination as a single
-    /// socket flush (`sendmmsg` when available and there is more than one
-    /// packet, the plain `send_to` otherwise), appending trailer tags
-    /// when an auth context is supplied. Encoding writes into per-thread
-    /// scratch slots — no allocation in steady state. Returns the
-    /// wall-clock cost of the whole flush in nanoseconds (the §4.4
+    /// socket flush (one `sendmmsg` of trains when available and there is
+    /// more than one packet, the plain `send_to` otherwise), appending
+    /// trailer tags when an auth context is supplied. A train ends after
+    /// the first packet of a §3.4 probe pair: the pair leaves in one flush
+    /// but reaches the receiver as two units with two arrival stamps, which
+    /// is the dispersion it exists to measure. Encoding writes into
+    /// per-thread scratch slots — no allocation in steady state. Returns
+    /// the wall-clock cost of the whole flush in nanoseconds (the §4.4
     /// send-cost feedback for the burst; callers divide by the burst
     /// length for the per-packet figure).
     pub fn send_batch(
@@ -479,12 +494,13 @@ impl Mux {
         }
         thread_local! {
             // Initializer runs once per thread; the slots grow to batch
-            // size below and are reused for every later flush.
-            static SLOTS: std::cell::RefCell<Vec<BytesMut>> =
-                const { std::cell::RefCell::new(Vec::new()) };
+            // size below and are reused, like the flush's header arrays
+            // beside them, for every later flush.
+            static SLOTS: std::cell::RefCell<(Vec<BytesMut>, SendScratch)> =
+                std::cell::RefCell::default();
         }
         SLOTS.with(|cell| {
-            let mut slots = cell.borrow_mut();
+            let (slots, scratch) = &mut *cell.borrow_mut();
             if slots.len() < pkts.len() {
                 // Warm-up growth only; steady state reuses the slots.
                 slots.resize_with(pkts.len(), || BytesMut::with_capacity(2048));
@@ -503,7 +519,12 @@ impl Mux {
             let t0 = std::time::Instant::now();
             let res = {
                 let _t = instr.scope(Category::UdpSend);
-                self.io.send_batch(&self.socket, &slots[..pkts.len()], to)
+                let first_of_pair = |i: usize| {
+                    matches!(&pkts[i], Packet::Data(d) if d.seq.raw().is_multiple_of(PROBE_INTERVAL))
+                };
+                let bufs = &slots[..pkts.len()];
+                self.io
+                    .send_batch(&self.socket, bufs, to, first_of_pair, scratch)
             };
             let sent = res?;
             self.counters.send_batches(1);
@@ -612,19 +633,34 @@ mod tests {
             })
             .collect();
         a.send_batch(&pkts, b.local_addr(), &instr, None).unwrap();
-        let mut got = 0usize;
-        while got < 24 {
+        let mut stamps = Vec::new();
+        while stamps.len() < 24 {
             let batch = q.recv_timeout(Duration::from_secs(2)).unwrap();
-            for (pkt, from, _) in batch {
+            for (pkt, from, arrival) in batch {
                 assert_eq!(pkt.conn_id(), 3);
                 assert_eq!(from, a.local_addr());
-                got += 1;
+                let Packet::Data(d) = pkt else {
+                    panic!("data only")
+                };
+                assert_eq!(d.seq.raw() as usize, stamps.len(), "in order");
+                stamps.push(arrival);
             }
         }
-        assert_eq!(got, 24);
+        // One flush is one syscall however many trains it was cut into,
+        // and a packet is a packet whichever train carried it.
         let snd = a.batch_counters();
         assert_eq!(snd.send_pkts, 24);
-        assert!(snd.send_batches >= 1);
+        assert_eq!(snd.send_batches, 1);
+        // The §3.4 probe pairs (0, 1) and (16, 17) are never in one train:
+        // each arrives with two stamps, trains or no trains.
+        assert_ne!(stamps[0], stamps[1]);
+        assert_ne!(stamps[16], stamps[17]);
+        if a.io.trains_enabled() && stamps[1] == stamps[2] {
+            assert!(stamps[1..17].iter().all(|&t| t == stamps[1]), "{stamps:?}");
+            assert!(stamps[17..].iter().all(|&t| t == stamps[17]), "{stamps:?}");
+        } else {
+            println!("SKIP: no trains on this kernel, 24 stamps for 24 packets");
+        }
         let rcv = b.batch_counters();
         assert_eq!(rcv.recv_pkts, 24);
         assert!(rcv.recv_batches >= 1);

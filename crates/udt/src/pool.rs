@@ -8,9 +8,10 @@
 //!    bytes of capacity (pool hit), or allocates a fresh one when the pool
 //!    is dry (counted miss — exhaustion degrades to allocation, never to
 //!    blocking).
-//! 2. The demux thread fills it from the socket and freezes it into a
-//!    [`Bytes`] handle that the decoded packet's payload borrows
-//!    (zero-copy). [`BufPool::retire`] stores a clone of that handle in a
+//! 2. The receive call copies one packet into it (out of the datagram or
+//!    train it arrived in, see [`crate::mmsg`]); the demux thread freezes
+//!    it into a [`Bytes`] handle that the decoded packet's payload borrows
+//!    (no further copy until the application reads). [`BufPool::retire`] stores a clone of that handle in a
 //!    bounded ring.
 //! 3. Once every downstream reader drops its reference, a later
 //!    [`BufPool::get`] sweep recovers the unique allocation via
