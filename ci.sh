@@ -66,10 +66,21 @@ cargo clippy --all-targets -- -D warnings
 # Deny-by-default: any unannotated finding fails the build.
 cargo run --release -p udt-lint
 
-# Bounded model check: exhaustive DFS over small delivery schedules through
-# the real buffer/loss-list code, at initial sequence numbers 0, SEQ_MAX and
-# SEQ_MAX-2 (~270k states; violations print a replayable seed).
+# Bounded model check: exhaustive DFS over small delivery and timer schedules
+# through the real buffers and the protocol event core (udt_algo::conn), at
+# initial sequence numbers 0, SEQ_MAX and SEQ_MAX-2 (~580k states; violations
+# print a replayable seed).
 timeout 120 cargo run --release -p udt-verify -- --quick
+
+# Simulator leg: the netsim experiments whose shape checks all hold, through
+# the same event core (Figs 3, 5-8, the ablations, the multi-bottleneck
+# topology; ~2 min). Any SHAPE [FAIL] exits non-zero. Not here: fig2 and fig4
+# each carry one check that does not hold (EXPERIMENTS.md says which), and
+# cmp_protocols takes two minutes alone. The report goes to a temp file.
+netsim_report="$(mktemp)"
+timeout 600 ./target/release/exp_all "$netsim_report" \
+  fig3 fig5 fig6 fig7 fig8 abl_syn abl_bwe abl_naks abl_sabul abl_pacing multibottleneck
+rm -f "$netsim_report"
 
 # Resilience soak, CI-sized: a real-socket upload through a flapping link
 # must reconnect, resume and land byte-identical (time-boxed; the full

@@ -51,7 +51,7 @@ pub fn run_in(dir: &PathBuf) -> Report {
         "Flight recorder under seeded chaos (bursty loss + blackout)",
         format!(
             "real sockets via linkemu, 50 Mb/s / 4 ms RTT, GE loss, blackout at {} s; dumps in {}",
-            BLACKOUT_START_US as f64 / 1e6, // udt-lint: allow(as-cast) — display maths
+            BLACKOUT_START_US as f64 / 1e6,
             dir.display()
         ),
     );
@@ -110,8 +110,8 @@ pub fn run_in(dir: &PathBuf) -> Report {
 
     rep.row(format!(
         "sent {:.1} MB, delivered {:.1} MB before the link died; sender saw Broken after {:.1} s",
-        sent as f64 / 1e6, // udt-lint: allow(as-cast) — display maths
-        delivered.load(Ordering::Relaxed) as f64 / 1e6, // udt-lint: allow(as-cast) — display maths
+        sent as f64 / 1e6,
+        delivered.load(Ordering::Relaxed) as f64 / 1e6,
         broke_after.as_secs_f64()
     ));
 

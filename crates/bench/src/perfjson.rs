@@ -48,7 +48,6 @@ impl Val {
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Val::F(f) => Some(*f),
-            // udt-lint: allow(as-cast) — artifact counters are well below 2^53
             #[allow(clippy::cast_precision_loss)]
             Val::U(u) => Some(*u as f64),
             _ => None,

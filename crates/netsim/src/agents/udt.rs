@@ -1,40 +1,49 @@
 //! UDT endpoints for the simulator.
 //!
-//! These agents run the *same* `udt-algo` state machines as the socket
-//! implementation: [`udt_algo::UdtCc`] (or [`udt_algo::SabulCc`]) for rate
-//! control, [`udt_algo::FlowWindow`] + [`udt_algo::PktTimeWindow`] for the
-//! receiver-computed window and bandwidth estimation, the appendix loss
-//! lists on both sides, and the ACK/ACK2 RTT machinery. Packets on the wire
-//! are real `udt-proto` types.
+//! These agents are hosts of the same protocol event core the sockets run
+//! ([`udt_algo::conn`]): every ACK, NAK, ACK2, keep-alive and timer rule is
+//! that module's, and the packets on the wire are real `udt-proto` types.
+//! What an agent adds is what a simulated host has: pacing on the event
+//! queue, packet sizes, and the application.
 //!
-//! Differences from the socket implementation, by construction of the
-//! simulation: no handshake (agents are configured with the initial
-//! sequence number), and the application is an infinite bulk source/sink
-//! (optionally bounded for transfer-completion experiments).
+//! Differences from the socket implementation, all of them the host's:
+//!
+//! * no handshake: both agents are configured with the initial sequence
+//!   number, and a bounded transfer ends with one `Shutdown`;
+//! * the application is a bulk source (optionally bounded, or fed by a
+//!   payload hook) and a sink that reads everything the moment it is in
+//!   order, so the receive buffer holds only what waits behind a loss;
+//! * packets leave one at a time (a probe pair together), never in trains,
+//!   and sending costs nothing: there is no send-cost floor on the period;
+//! * the two ends of a flow are two agents. The receiving end's sending
+//!   half never carries data; it is there for what every connection's has
+//!   to do anyway, probing a silent peer and answering its keep-alives.
 
 // Numeric casts in this module are deliberate: bounded protocol arithmetic,
 // 32-bit wire fields, and clock/rate conversions whose ranges are argued at
 // the cast sites. Sequence/timestamp casts are separately policed by udt-lint.
 #![allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
 
-use udt_algo::ackwindow::AckWindow;
+use bytes::Bytes;
 use udt_algo::clock::SYN;
-use udt_algo::timerctl::{nak_base_interval, ExpBackoff};
-use udt_algo::{
-    CcContext, FlowWindow, Nanos, PktTimeWindow, RateControl, RcvLossList, RttEstimator,
-    SabulCc, SndLossList, UdtCc, UdtCcConfig, PROBE_INTERVAL,
+use udt_algo::conn::{
+    opens_probe_pair, CoreTrace, DataVerdict, RcvCore, SndCfg, SndCore, TimerAction,
 };
-use udt_proto::ctrl::{AckData, ControlBody, ControlPacket};
-use udt_proto::{DataPacket, Packet, SeqNo, SeqRange};
-use udt_trace::{DropReason, EventKind, TimerKind, Tracer};
+use udt_algo::{Nanos, RateControl, SabulCc, UdtCc, UdtCcConfig};
+use udt_proto::ctrl::{ControlBody, ControlPacket};
+use udt_proto::{DataPacket, Packet, SeqNo};
+use udt_trace::{EventKind, Tracer};
 
 use crate::packet::{FlowId, NodeId, Payload, SimPacket};
 use crate::sim::{Agent, Ctx};
 
 const TOK_SND: u64 = 1;
-const TOK_EXP: u64 = 2;
-const TOK_ACK: u64 = 3;
-const TOK_NAK: u64 = 4;
+const TOK_TIMER: u64 = 2;
+
+/// Wire size of a control packet with `words` 32-bit words of body.
+fn ctrl_size(words: usize) -> u32 {
+    16 + 4 * words as u32
+}
 
 /// Which rate controller a sender runs.
 #[derive(Debug, Clone)]
@@ -106,34 +115,46 @@ impl UdtSenderCfg {
     }
 }
 
+/// How many packets of a transfer that started at `init_seq` precede `seq`.
+fn pkts_before(init_seq: SeqNo, seq: SeqNo) -> u64 {
+    init_seq.offset_to(seq).max(0) as u64
+}
+
+/// What both agents do to put a control packet on the simulated wire.
+fn send_ctrl(ctx: &mut Ctx, to: NodeId, flow: FlowId, body: ControlBody, size: u32) {
+    let ctrl = ControlPacket {
+        timestamp_us: ctx.now.wire_micros(),
+        conn_id: flow.0 as u32,
+        body,
+    };
+    ctx.send(SimPacket::new(
+        ctx.node,
+        to,
+        flow,
+        size,
+        Payload::Udt(Packet::Control(ctrl)),
+    ));
+}
+
 /// The sending endpoint.
 pub struct UdtSender {
     cfg: UdtSenderCfg,
-    cc: Box<dyn RateControl>,
-    /// Next brand-new sequence number.
-    next_new: SeqNo,
-    /// First unacknowledged sequence number.
-    snd_una: SeqNo,
-    /// Largest sequence number sent.
-    curr_seq: SeqNo,
-    loss: SndLossList,
-    /// Latest advertised window from the receiver (packets).
-    peer_window: u32,
-    rtt: RttEstimator,
-    /// Smoothed link-capacity estimate from ACKs, pkts/s.
-    bandwidth_pps: f64,
-    /// Smoothed receive-rate report from ACKs, pkts/s.
-    recv_rate_pps: f64,
-    exp: ExpBackoff,
-    last_rsp_time: Nanos,
+    core: SndCore,
+    /// When the pending `TOK_SND` is meant to fire (earlier ones are stale).
     snd_deadline: Nanos,
-    exp_deadline: Nanos,
+    /// No `TOK_SND` is pending: nothing was sendable. An ACK, a NAK or a
+    /// re-queue restarts the sender (the socket's sender parks on a condvar
+    /// the same three events notify).
+    parked: bool,
+    /// When anything was last sent (a keep-alive is answered only after a
+    /// silence of ours).
+    last_sent: Nanos,
     sent_new: u64,
     sent_retx: u64,
-    started: bool,
+    /// Transfer complete and `Shutdown` sent, or the peer declared gone.
     finished: bool,
-    /// Structured event sink; disabled by default (one branch per emit).
-    tracer: Tracer,
+    /// Where `DataSend` goes (the core emits the rest); disabled by default.
+    trace: CoreTrace,
     /// Optional payload source for byte-carrying flows (multipath bonding).
     /// Called with `(sim now ns, seq, retx)`; for new data a `None` means
     /// "nothing to send yet" and the sequence number is *not* consumed.
@@ -143,42 +164,47 @@ pub struct UdtSender {
 /// Payload source hook for byte-carrying simulated flows: called with
 /// `(sim now ns, seq, retx)`; returning `None` for new data defers the
 /// packet without consuming the sequence number.
-pub type PayloadFn = Box<dyn FnMut(u64, SeqNo, bool) -> Option<bytes::Bytes>>;
+pub type PayloadFn = Box<dyn FnMut(u64, SeqNo, bool) -> Option<Bytes>>;
 
 /// Payload sink hook: observes `(sim now ns, seq, payload)` once per
 /// accepted data packet, in arrival order.
-pub type PayloadSink = Box<dyn FnMut(u64, SeqNo, &bytes::Bytes)>;
+pub type PayloadSink = Box<dyn FnMut(u64, SeqNo, &Bytes)>;
 
 impl UdtSender {
     /// New sender.
     pub fn new(cfg: UdtSenderCfg) -> UdtSender {
+        UdtSender {
+            core: Self::core_for(&cfg, CoreTrace::default()),
+            snd_deadline: Nanos::ZERO,
+            parked: false,
+            last_sent: Nanos::ZERO,
+            sent_new: 0,
+            sent_retx: 0,
+            finished: false,
+            trace: CoreTrace::default(),
+            payload_fn: None,
+            cfg,
+        }
+    }
+
+    /// The sending half the experiment configured; the liveness thresholds
+    /// are the reference ones.
+    fn core_for(cfg: &UdtSenderCfg, trace: CoreTrace) -> SndCore {
         let cc: Box<dyn RateControl> = match &cfg.cc {
             CcKind::Udt(c) => Box::new(UdtCc::new(cfg.init_seq, c.clone())),
             CcKind::Sabul { alpha } => Box::new(SabulCc::new(cfg.init_seq, *alpha)),
         };
-        let cap = (cfg.max_flow_win as usize * 2).max(1024);
-        UdtSender {
-            next_new: cfg.init_seq,
-            snd_una: cfg.init_seq,
-            curr_seq: cfg.init_seq.prev(),
-            loss: SndLossList::new(cap),
-            peer_window: 16,
-            rtt: RttEstimator::new(Nanos::from_millis(100)),
-            bandwidth_pps: 0.0,
-            recv_rate_pps: 0.0,
-            exp: ExpBackoff::new(),
-            last_rsp_time: Nanos::ZERO,
-            snd_deadline: Nanos::ZERO,
-            exp_deadline: Nanos::ZERO,
-            sent_new: 0,
-            sent_retx: 0,
-            started: false,
-            finished: false,
-            tracer: Tracer::disabled(),
-            payload_fn: None,
-            cfg,
-            cc,
-        }
+        let core = SndCfg {
+            flow_control: cfg.use_flow_control,
+            trace,
+            ..SndCfg::new(
+                cfg.init_seq,
+                cc,
+                cfg.mss,
+                (cfg.max_flow_win as usize * 2).max(1024),
+            )
+        };
+        SndCore::new(core, cfg.start_at)
     }
 
     /// Attach a tracer (builder style, so config structs stay plain
@@ -186,7 +212,8 @@ impl UdtSender {
     /// the flow id, matching the real-socket trace schema.
     #[must_use]
     pub fn with_tracer(mut self, t: Tracer) -> UdtSender {
-        self.tracer = t;
+        self.trace = CoreTrace::new(t, self.cfg.flow.0 as u32, 0);
+        self.core = Self::core_for(&self.cfg, self.trace.clone());
         self
     }
 
@@ -197,17 +224,9 @@ impl UdtSender {
     /// retransmission (`retx = true`) the hook must return the bytes it
     /// handed out for that sequence number originally.
     #[must_use]
-    pub fn with_payload_fn(
-        mut self,
-        f: PayloadFn,
-    ) -> UdtSender {
+    pub fn with_payload_fn(mut self, f: PayloadFn) -> UdtSender {
         self.payload_fn = Some(f);
         self
-    }
-
-    #[inline]
-    fn trace(&self, ctx: &Ctx, kind: EventKind) {
-        self.tracer.emit_at(ctx.now.0, self.cfg.flow.0 as u32, kind);
     }
 
     /// Data packets sent (first transmissions).
@@ -222,316 +241,163 @@ impl UdtSender {
 
     /// Current sending period (µs) — exposed for traces/ablations.
     pub fn pkt_snd_period_us(&self) -> f64 {
-        self.cc.pkt_snd_period_us()
+        self.core.pkt_snd_period_us()
     }
 
     /// `true` once every packet of a bounded transfer has been acknowledged.
     pub fn transfer_complete(&self) -> bool {
-        match self.cfg.total_pkts {
-            None => false,
-            Some(total) => {
-                // udt-lint: allow(seq-cmp) — compares a wrap-safe offset against a count
-                self.cfg.init_seq.offset_to(self.snd_una) as u64 >= total
+        let acked = pkts_before(self.cfg.init_seq, self.core.snd_una());
+        self.cfg.total_pkts.is_some_and(|total| acked >= total)
+    }
+
+    fn ctrl(&mut self, ctx: &mut Ctx, body: ControlBody, size: u32) {
+        self.last_sent = ctx.now;
+        send_ctrl(ctx, self.cfg.dst, self.cfg.flow, body, size);
+    }
+
+    /// Send the packet the core picks next. `Err` when there is none, and
+    /// whether that is because a payload source had nothing to give.
+    fn send_one(&mut self, ctx: &mut Ctx) -> Result<SeqNo, bool> {
+        let now = ctx.now;
+        let (cfg, source) = (&self.cfg, &mut self.payload_fn);
+        let (mut fresh, mut source_empty) = (None, false);
+        let picked = self.core.next(|seq| match source {
+            // Ask the payload source *before* the sequence number is
+            // consumed: with nothing to send the flow just idles.
+            Some(f) => {
+                fresh = f(now.0, seq, false);
+                source_empty = fresh.is_none();
+                !source_empty
             }
-        }
-    }
-
-    fn ctx_for_cc(&self, now: Nanos) -> CcContext {
-        CcContext {
-            now,
-            rtt_us: self.rtt.rtt_us(),
-            bandwidth_pps: self.bandwidth_pps,
-            recv_rate_pps: self.recv_rate_pps,
-            mss: self.cfg.mss,
-            max_cwnd: f64::from(self.cfg.max_flow_win),
-            snd_curr_seq: self.curr_seq,
-            min_snd_period_us: 0.0,
-        }
-    }
-
-    /// Effective window: flow control (§3.2) caps unacknowledged packets at
-    /// `min(cwnd, peer advertised)`; with flow control disabled, only the
-    /// rate controller (and a nominal huge cap) applies.
-    fn window(&self) -> u32 {
-        if self.cfg.use_flow_control {
-            (self.cc.cwnd() as u32).min(self.peer_window)
-        } else {
-            u32::MAX / 4
-        }
-    }
-
-    fn exhausted_new(&self) -> bool {
-        match self.cfg.total_pkts {
-            None => false,
-            // udt-lint: allow(seq-cmp) — compares a wrap-safe offset against a count
-            Some(total) => self.cfg.init_seq.offset_to(self.next_new) as u64 >= total,
-        }
-    }
-
-    /// Choose and transmit the next data packet: loss list first (§4.8),
-    /// then new data within the window. Returns whether a packet went out
-    /// and whether it opened a probe pair.
-    fn send_one(&mut self, ctx: &mut Ctx) -> Option<SeqNo> {
-        let (seq, retx, payload) = if let Some(seq) = self.loss.pop_first() {
-            let payload = match self.payload_fn.as_mut() {
-                Some(f) => f(ctx.now.0, seq, true).unwrap_or_default(),
-                None => bytes::Bytes::new(),
-            };
+            None => {
+                let numbered = pkts_before(cfg.init_seq, seq);
+                cfg.total_pkts.is_none_or(|total| numbered < total)
+            }
+        });
+        let (seq, retx) = picked.ok_or(source_empty)?;
+        let payload = if retx {
             self.sent_retx += 1;
-            (seq, true, payload)
+            source.as_mut().and_then(|f| f(now.0, seq, true))
         } else {
-            if self.exhausted_new() {
-                return None;
-            }
-            let in_flight = self.snd_una.offset_to(self.next_new);
-            if in_flight >= self.window() as i32 {
-                return None;
-            }
-            let seq = self.next_new;
-            // Ask the payload source *before* consuming the sequence
-            // number: with nothing to send the flow just idles.
-            let payload = match self.payload_fn.as_mut() {
-                Some(f) => f(ctx.now.0, seq, false)?,
-                None => bytes::Bytes::new(),
-            };
-            self.next_new = self.next_new.next();
             self.sent_new += 1;
-            (seq, false, payload)
+            fresh
         };
-        // udt-lint: allow(seq-cmp) — compares wrap-safe offsets, not raw seqnos
-        if self.snd_una.offset_to(seq) > self.snd_una.offset_to(self.curr_seq)
-            // udt-lint: allow(seq-cmp)
-            || self.snd_una.offset_to(self.curr_seq) < 0
-        {
-            self.curr_seq = seq;
-        }
         let pkt = Packet::Data(DataPacket {
             seq,
-            // udt-lint: allow(as-cast) — the wire timestamp field is 32-bit
-            timestamp_us: (ctx.now.as_micros() & 0xFFFF_FFFF) as u32,
-            conn_id: self.cfg.flow.0 as u32,
-            payload, // empty unless a payload source is attached
+            timestamp_us: now.wire_micros(),
+            conn_id: cfg.flow.0 as u32,
+            payload: payload.unwrap_or_default(), // empty without a source
         });
         ctx.send(SimPacket::new(
             ctx.node,
-            self.cfg.dst,
-            self.cfg.flow,
-            self.cfg.mss,
+            cfg.dst,
+            cfg.flow,
+            cfg.mss,
             Payload::Udt(pkt),
         ));
-        self.trace(
-            ctx,
-            EventKind::DataSend {
-                seq: seq.raw(),
-                bytes: self.cfg.mss,
-                retx,
-            },
-        );
-        Some(seq)
+        let sent = EventKind::DataSend {
+            seq: seq.raw(),
+            bytes: cfg.mss,
+            retx,
+        };
+        self.trace.emit(now, sent);
+        self.last_sent = now;
+        Ok(seq)
     }
 
     fn schedule_snd(&mut self, ctx: &mut Ctx, delay: Nanos) {
+        self.parked = false;
         self.snd_deadline = ctx.now.plus(delay);
         ctx.timer_at(self.snd_deadline, TOK_SND);
     }
 
-    fn schedule_exp(&mut self, ctx: &mut Ctx) {
-        self.exp_deadline = ctx
-            .now
-            .plus(self.exp.interval(self.rtt.rtt_us(), self.rtt.rtt_var_us()));
-        ctx.timer_at(self.exp_deadline, TOK_EXP);
-    }
-
-    fn on_ack(&mut self, ack_seq: u32, data: AckData, ctx: &mut Ctx) {
-        let ack = data.rcv_next;
-        self.trace(
-            ctx,
-            EventKind::AckRecv {
-                ack_no: ack_seq,
-                ack_seq: ack.raw(),
-            },
-        );
-        if self.snd_una.lt_seq(ack) {
-            self.snd_una = ack;
-            self.loss.remove_upto(ack.prev());
-        }
-        if let (Some(rtt), Some(var)) = (data.rtt_us, data.rtt_var_us) {
-            self.rtt.absorb_peer(rtt, var);
-            // RTT estimates fit the protocol's 32-bit microsecond fields.
-            // udt-lint: allow(as-cast)
-            let (rtt_us, var_us) = (self.rtt.rtt_us() as u32, self.rtt.rtt_var_us() as u32);
-            self.trace(ctx, EventKind::RttUpdate { rtt_us, var_us });
-        }
-        if let Some(w) = data.avail_buf_pkts {
-            self.peer_window = w;
-        }
-        if let Some(rr) = data.recv_rate_pps {
-            if rr > 0 {
-                self.recv_rate_pps = if self.recv_rate_pps > 0.0 {
-                    (self.recv_rate_pps * 7.0 + f64::from(rr)) / 8.0
-                } else {
-                    f64::from(rr)
-                };
-            }
-        }
-        if let Some(bw) = data.link_cap_pps {
-            if bw > 0 {
-                self.bandwidth_pps = if self.bandwidth_pps > 0.0 {
-                    (self.bandwidth_pps * 7.0 + f64::from(bw)) / 8.0
-                } else {
-                    f64::from(bw)
-                };
-                self.trace(
-                    ctx,
-                    EventKind::BwEstimate {
-                        pps: self.bandwidth_pps,
-                    },
-                );
-            }
-        }
-        let cc_ctx = self.ctx_for_cc(ctx.now);
-        self.cc.on_ack(ack, &cc_ctx);
-        self.trace(
-            ctx,
-            EventKind::RateUpdate {
-                period_us: self.cc.pkt_snd_period_us(),
-                cwnd: self.cc.cwnd(),
-            },
-        );
-        if !data.is_light() {
-            // Answer full ACKs with ACK2 for the receiver's RTT sampling.
-            let ack2 = ControlPacket {
-                // udt-lint: allow(as-cast) — the wire timestamp field is 32-bit
-                timestamp_us: (ctx.now.as_micros() & 0xFFFF_FFFF) as u32,
-                conn_id: self.cfg.flow.0 as u32,
-                body: ControlBody::Ack2 { ack_seq },
-            };
-            ctx.send(SimPacket::new(
-                ctx.node,
-                self.cfg.dst,
-                self.cfg.flow,
-                32,
-                Payload::Udt(Packet::Control(ack2)),
-            ));
-            self.trace(ctx, EventKind::Ack2Send { ack_no: ack_seq });
+    /// Window space, a repair or new feedback: restart a parked sender.
+    fn wake(&mut self, ctx: &mut Ctx) {
+        if self.parked && !self.finished {
+            self.schedule_snd(ctx, Nanos::ZERO);
         }
     }
 
-    fn on_nak(&mut self, ranges: &[SeqRange], ctx: &mut Ctx) {
-        if let Some(first) = ranges.first() {
-            self.trace(
-                ctx,
-                EventKind::NakRecv {
-                    first_lo: first.from.raw(),
-                    first_hi: first.to.raw(),
-                    ranges: ranges.len() as u32,
-                },
-            );
+    fn on_snd_timer(&mut self, ctx: &mut Ctx) {
+        if ctx.now < self.snd_deadline || self.finished {
+            return; // stale timer
         }
-        let cc_ctx = self.ctx_for_cc(ctx.now);
-        self.cc.on_loss(ranges, &cc_ctx);
-        for r in ranges {
-            // Ignore stale ranges below the cumulative ACK point.
-            let from = if r.from.lt_seq(self.snd_una) {
-                self.snd_una
-            } else {
-                r.from
-            };
-            if from.le_seq(r.to) {
-                self.loss.insert(from, r.to);
+        let syn = self.cfg.cc.syn();
+        if self.core.take_freeze() {
+            // §3.3: freeze for one SYN after a decrease.
+            self.schedule_snd(ctx, syn);
+            return;
+        }
+        match self.send_one(ctx) {
+            Ok(seq) => {
+                if opens_probe_pair(seq) {
+                    let _ = self.send_one(ctx);
+                }
+                let period = Nanos::from_secs_f64(self.core.pkt_snd_period_us() / 1e6);
+                self.schedule_snd(ctx, period.max(Nanos(1)));
             }
+            Err(_) if self.transfer_complete() => {
+                // As a socket's `close()`: everything is acknowledged.
+                self.finished = true;
+                self.ctrl(ctx, ControlBody::Shutdown, ctrl_size(0));
+            }
+            // The payload source has nothing yet: poll it again shortly.
+            Err(true) => self.schedule_snd(ctx, syn),
+            // Window-limited or out of data.
+            Err(false) => self.parked = true,
         }
     }
 }
 
 impl Agent for UdtSender {
     fn start(&mut self, ctx: &mut Ctx) {
-        ctx.timer_at(self.cfg.start_at, TOK_SND);
         self.snd_deadline = self.cfg.start_at;
-        self.last_rsp_time = self.cfg.start_at;
-        self.schedule_exp(ctx);
+        ctx.timer_at(self.snd_deadline, TOK_SND);
+        ctx.timer_at(self.core.next_deadline(), TOK_TIMER);
     }
 
     fn on_packet(&mut self, pkt: SimPacket, ctx: &mut Ctx) {
         let Payload::Udt(Packet::Control(ctrl)) = pkt.payload else {
             return;
         };
-        self.last_rsp_time = ctx.now;
-        self.exp.reset();
+        if self.finished {
+            return;
+        }
+        self.core.on_arrival(ctx.now);
         match ctrl.body {
-            ControlBody::Ack { ack_seq, data } => self.on_ack(ack_seq, data, ctx),
-            ControlBody::Nak(ranges) => self.on_nak(&ranges, ctx),
-            _ => {}
+            ControlBody::Ack { ack_seq, data } => {
+                if let Some(acked) = self.core.on_ack(ctx.now, ack_seq, &data, 0.0) {
+                    if acked.ack2 {
+                        self.ctrl(ctx, ControlBody::Ack2 { ack_seq }, ctrl_size(4));
+                    }
+                    self.wake(ctx);
+                }
+            }
+            ControlBody::Nak(mut ranges) => {
+                self.core.on_nak(ctx.now, &mut ranges, 0.0);
+                self.wake(ctx);
+            }
+            ControlBody::KeepAlive => {
+                if self.core.on_keepalive(ctx.now, self.last_sent) {
+                    self.ctrl(ctx, ControlBody::KeepAlive, ctrl_size(0));
+                }
+            }
+            ControlBody::Shutdown => self.finished = true,
+            ControlBody::Ack2 { .. } | ControlBody::Handshake(_) => {}
         }
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut Ctx) {
         match token {
-            TOK_SND => {
-                if !self.started {
-                    self.started = true;
+            TOK_SND => self.on_snd_timer(ctx),
+            TOK_TIMER if !self.finished => {
+                match self.core.on_timer(ctx.now, 0.0).action {
+                    TimerAction::None => {}
+                    TimerAction::KeepAlive => self.ctrl(ctx, ControlBody::KeepAlive, ctrl_size(0)),
+                    TimerAction::Requeued => self.wake(ctx),
+                    TimerAction::Broken => self.finished = true,
                 }
-                if ctx.now < self.snd_deadline || self.finished {
-                    return; // stale timer
-                }
-                if self.cc.take_freeze() {
-                    // §3.3: freeze for one SYN after a decrease.
-                    let syn = self.cfg.cc.syn();
-                    self.schedule_snd(ctx, syn);
-                    return;
-                }
-                match self.send_one(ctx) {
-                    Some(seq) => {
-                        // §3.4 probe pairs: every PROBE_INTERVAL-th packet is
-                        // followed back-to-back by its successor.
-                        let mut period = Nanos::from_secs_f64(
-                            self.cc.pkt_snd_period_us() / 1e6,
-                        );
-                        if seq.raw() % PROBE_INTERVAL == 0 {
-                            self.send_one(ctx);
-                        }
-                        if period == Nanos::ZERO {
-                            period = Nanos(1);
-                        }
-                        self.schedule_snd(ctx, period);
-                    }
-                    None => {
-                        if self.transfer_complete() {
-                            self.finished = true;
-                            return;
-                        }
-                        // Window-limited or out of data: poll again shortly.
-                        let syn = self.cfg.cc.syn();
-                        self.schedule_snd(ctx, syn);
-                    }
-                }
-            }
-            TOK_EXP => {
-                if ctx.now < self.exp_deadline {
-                    return; // stale
-                }
-                if self.last_rsp_time.plus(self.exp.interval(
-                    self.rtt.rtt_us(),
-                    self.rtt.rtt_var_us(),
-                )) <= ctx.now
-                {
-                    self.exp.on_expired();
-                    self.trace(
-                        ctx,
-                        EventKind::TimerFire {
-                            timer: TimerKind::Exp,
-                            count: self.exp.count(),
-                        },
-                    );
-                    let cc_ctx = self.ctx_for_cc(ctx.now);
-                    self.cc.on_timeout(&cc_ctx);
-                    // Re-queue all in-flight data for repair (UDT's EXP
-                    // behaviour when the loss list is empty).
-                    if self.loss.is_empty() && self.snd_una.lt_seq(self.next_new) {
-                        self.loss.insert(self.snd_una, self.next_new.prev());
-                    }
-                }
-                self.schedule_exp(ctx);
+                ctx.timer_at(self.core.next_deadline(), TOK_TIMER);
             }
             _ => {}
         }
@@ -576,25 +442,17 @@ impl UdtReceiverCfg {
 /// The receiving endpoint.
 pub struct UdtReceiver {
     cfg: UdtReceiverCfg,
-    /// Largest received sequence number.
-    lrsn: SeqNo,
+    core: RcvCore,
+    /// This end's sending half: it carries no data, only the EXP timer and
+    /// the keep-alive answer.
+    live: SndCore,
     /// First never-delivered sequence number (delivery frontier).
     rcv_next: SeqNo,
-    loss: RcvLossList,
-    history: PktTimeWindow,
-    rtt: RttEstimator,
-    ackw: AckWindow,
-    flow_win: FlowWindow,
-    ack_seq: u32,
-    last_ack_sent: SeqNo,
-    ack_deadline: Nanos,
-    nak_deadline: Nanos,
-    /// Gap sizes recorded per loss event (the Figure 8 trace).
-    loss_events: Vec<u32>,
     received_pkts: u64,
     duplicate_pkts: u64,
-    /// Structured event sink; disabled by default (one branch per emit).
-    tracer: Tracer,
+    last_sent: Nanos,
+    /// The sender shut down, or went silent for good: timers stop.
+    closed: bool,
     /// Optional payload sink for byte-carrying flows (multipath bonding).
     /// Called once per *accepted* packet (first copies only, in arrival
     /// order) with `(sim now ns, seq, payload)`.
@@ -604,32 +462,48 @@ pub struct UdtReceiver {
 impl UdtReceiver {
     /// New receiver.
     pub fn new(cfg: UdtReceiverCfg) -> UdtReceiver {
-        let cap = (cfg.buffer_pkts as usize * 2).max(1024);
+        let (core, live) = Self::cores_for(&cfg, &CoreTrace::default());
         UdtReceiver {
-            lrsn: cfg.init_seq.prev(),
+            core,
+            live,
             rcv_next: cfg.init_seq,
-            loss: RcvLossList::new(cap),
-            history: PktTimeWindow::new(),
-            rtt: RttEstimator::new(Nanos::from_millis(100)),
-            ackw: AckWindow::default(),
-            flow_win: FlowWindow::new(cfg.buffer_pkts),
-            ack_seq: 0,
-            last_ack_sent: cfg.init_seq,
-            ack_deadline: Nanos::ZERO,
-            nak_deadline: Nanos::ZERO,
-            loss_events: Vec::new(),
             received_pkts: 0,
             duplicate_pkts: 0,
-            tracer: Tracer::disabled(),
+            last_sent: Nanos::ZERO,
+            closed: false,
             sink_fn: None,
             cfg,
         }
     }
 
+    fn cores_for(cfg: &UdtReceiverCfg, trace: &CoreTrace) -> (RcvCore, SndCore) {
+        let loss_cap = (cfg.buffer_pkts as usize * 2).max(1024);
+        let cc: Box<dyn RateControl> = Box::new(UdtCc::with_defaults(cfg.init_seq));
+        (
+            RcvCore::new(
+                cfg.init_seq,
+                cfg.buffer_pkts,
+                loss_cap,
+                cfg.syn,
+                Nanos::ZERO,
+                trace.clone(),
+            ),
+            // Nothing is ever queued on this half's loss list.
+            SndCore::new(
+                SndCfg {
+                    trace: trace.clone(),
+                    ..SndCfg::new(cfg.init_seq, cc, cfg.mss, 2)
+                },
+                Nanos::ZERO,
+            ),
+        )
+    }
+
     /// Attach a tracer (builder style; see [`UdtSender::with_tracer`]).
     #[must_use]
     pub fn with_tracer(mut self, t: Tracer) -> UdtReceiver {
-        self.tracer = t;
+        let trace = CoreTrace::new(t, self.cfg.flow.0 as u32, 0);
+        (self.core, self.live) = Self::cores_for(&self.cfg, &trace);
         self
     }
 
@@ -637,22 +511,14 @@ impl UdtReceiver {
     /// sending side. The sink observes each accepted packet exactly once,
     /// in arrival (not sequence) order — reordering is the sink's problem.
     #[must_use]
-    pub fn with_payload_sink(
-        mut self,
-        f: PayloadSink,
-    ) -> UdtReceiver {
+    pub fn with_payload_sink(mut self, f: PayloadSink) -> UdtReceiver {
         self.sink_fn = Some(f);
         self
     }
 
-    #[inline]
-    fn trace(&self, ctx: &Ctx, kind: EventKind) {
-        self.tracer.emit_at(ctx.now.0, self.cfg.flow.0 as u32, kind);
-    }
-
     /// Per-event loss sizes observed (Figure 8).
     pub fn loss_events(&self) -> &[u32] {
-        &self.loss_events
+        self.core.loss_events()
     }
 
     /// Data packets accepted (first copies).
@@ -667,233 +533,104 @@ impl UdtReceiver {
 
     /// Current smoothed RTT estimate (µs).
     pub fn rtt_us(&self) -> f64 {
-        self.rtt.rtt_us()
+        self.core.rtt_us()
     }
 
-    fn send_ctrl(&self, ctx: &mut Ctx, body: ControlBody, size: u32) {
-        let ctrl = ControlPacket {
-            // udt-lint: allow(as-cast) — the wire timestamp field is 32-bit
-            timestamp_us: (ctx.now.as_micros() & 0xFFFF_FFFF) as u32,
-            conn_id: self.cfg.flow.0 as u32,
-            body,
-        };
-        ctx.send(SimPacket::new(
-            ctx.node,
-            self.cfg.src,
-            self.cfg.flow,
-            size,
-            Payload::Udt(Packet::Control(ctrl)),
-        ));
+    fn ctrl(&mut self, ctx: &mut Ctx, body: ControlBody, size: u32) {
+        self.last_sent = ctx.now;
+        send_ctrl(ctx, self.cfg.src, self.cfg.flow, body, size);
     }
 
-    /// Advance the delivery frontier and account application goodput.
-    fn advance_delivery(&mut self, ctx: &mut Ctx) {
-        let frontier = match self.loss.first() {
-            Some(first_lost) => first_lost,
-            None => self.lrsn.next(),
-        };
+    fn on_data(&mut self, d: &DataPacket, ctx: &mut Ctx) {
+        // Every packet has its own arrival time: a train of one.
+        self.core.on_arrivals([(d.seq, d.timestamp_us, ctx.now)]);
+        // The application reads as soon as data is in order, so the buffer
+        // starts at the delivery frontier.
+        let verdict = self.core.on_data(
+            ctx.now,
+            d.seq,
+            self.cfg.mss,
+            self.rcv_next,
+            self.cfg.buffer_pkts,
+        );
+        match verdict {
+            DataVerdict::Implausible | DataVerdict::Duplicate => {
+                self.duplicate_pkts += 1;
+                return;
+            }
+            DataVerdict::New { nak: Some(gap) } => {
+                self.ctrl(ctx, ControlBody::Nak(vec![gap]), ctrl_size(2));
+            }
+            DataVerdict::New { nak: None } | DataVerdict::Recovered => {}
+        }
+        self.received_pkts += 1;
+        if let Some(sink) = self.sink_fn.as_mut() {
+            sink(ctx.now.0, d.seq, &d.payload);
+        }
+        // Advance the delivery frontier and account application goodput.
+        let frontier = self.core.frontier();
         if self.rcv_next.lt_seq(frontier) {
             let pkts = self.rcv_next.offset_to(frontier) as u64;
             ctx.deliver(self.cfg.flow, pkts * u64::from(self.cfg.mss));
             self.rcv_next = frontier;
         }
     }
-
-    fn on_data(&mut self, seq: SeqNo, payload: &bytes::Bytes, ctx: &mut Ctx) {
-        self.history.on_pkt_arrival(ctx.now);
-        if seq.raw().is_multiple_of(PROBE_INTERVAL) {
-            self.history.on_probe1_arrival(ctx.now);
-        } else if seq.raw() % PROBE_INTERVAL == 1 {
-            self.history.on_probe2_arrival(ctx.now);
-        }
-        let off = self.lrsn.offset_to(seq);
-        if off > 0 {
-            if off > 1 {
-                // Gap: a loss event. Record it, store it, NAK immediately
-                // (§3.1: "NAK is generated once a loss is detected").
-                let from = self.lrsn.next();
-                let to = seq.prev();
-                let added = self.loss.insert_at(from, to, ctx.now);
-                if added > 0 {
-                    self.loss_events.push(added);
-                    self.trace(
-                        ctx,
-                        EventKind::LossDetected {
-                            first_lo: from.raw(),
-                            first_hi: to.raw(),
-                        },
-                    );
-                    self.send_ctrl(
-                        ctx,
-                        ControlBody::Nak(vec![SeqRange::new(from, to)]),
-                        16 + 8,
-                    );
-                    self.trace(
-                        ctx,
-                        EventKind::NakSend {
-                            first_lo: from.raw(),
-                            first_hi: to.raw(),
-                            ranges: 1,
-                        },
-                    );
-                }
-            }
-            self.lrsn = seq;
-            self.received_pkts += 1;
-            if let Some(sink) = self.sink_fn.as_mut() {
-                sink(ctx.now.0, seq, payload);
-            }
-            self.trace(
-                ctx,
-                EventKind::DataRecv {
-                    seq: seq.raw(),
-                    bytes: self.cfg.mss,
-                },
-            );
-        } else {
-            // At or below the largest seen: retransmission or duplicate.
-            if self.loss.remove(seq) {
-                self.received_pkts += 1;
-                if let Some(sink) = self.sink_fn.as_mut() {
-                    sink(ctx.now.0, seq, payload);
-                }
-                self.trace(
-                    ctx,
-                    EventKind::DataRecv {
-                        seq: seq.raw(),
-                        bytes: self.cfg.mss,
-                    },
-                );
-            } else {
-                self.duplicate_pkts += 1;
-                self.trace(
-                    ctx,
-                    EventKind::DataDrop {
-                        seq: seq.raw(),
-                        reason: DropReason::Duplicate,
-                    },
-                );
-            }
-        }
-        self.advance_delivery(ctx);
-    }
-
-    fn send_periodic_ack(&mut self, ctx: &mut Ctx) {
-        let ack_no = match self.loss.first() {
-            Some(first_lost) => first_lost,
-            None => self.lrsn.next(),
-        };
-        // Suppress pure duplicates (nothing new to report) — but keep the
-        // timer running.
-        if ack_no == self.last_ack_sent && self.rtt.has_sample() {
-            return;
-        }
-        // udt-lint: allow(seq-cmp) — ack_seq is the ACK *message* counter, not a packet seqno
-        self.ack_seq = self.ack_seq.wrapping_add(1);
-        self.flow_win
-            .update_with_syn(&self.history, &self.rtt, self.cfg.syn);
-        // Buffered-but-undeliverable packets occupy receiver buffer.
-        let held = self.rcv_next.offset_to(self.lrsn.next()).max(0) as u32;
-        let avail = self.cfg.buffer_pkts.saturating_sub(held);
-        // RTT estimates fit the protocol's 32-bit microsecond fields.
-        // udt-lint: allow(as-cast)
-        let (rtt_us, rtt_var_us) = (self.rtt.rtt_us() as u32, self.rtt.rtt_var_us() as u32);
-        let data = AckData::full(
-            ack_no,
-            rtt_us,
-            rtt_var_us,
-            self.flow_win.advertised(avail),
-            self.history.pkt_recv_speed() as u32,
-            self.history.bandwidth() as u32,
-        );
-        self.ackw.store(self.ack_seq, ack_no, ctx.now);
-        self.last_ack_sent = ack_no;
-        self.send_ctrl(
-            ctx,
-            ControlBody::Ack {
-                ack_seq: self.ack_seq,
-                data,
-            },
-            40,
-        );
-        self.trace(
-            ctx,
-            EventKind::AckSend {
-                ack_no: self.ack_seq,
-                ack_seq: ack_no.raw(),
-            },
-        );
-    }
-
-    fn resend_naks(&mut self, ctx: &mut Ctx) {
-        let base = nak_base_interval(self.rtt.rtt_us(), self.rtt.rtt_var_us());
-        let due = self.loss.due_reports(ctx.now, base, 64);
-        if !due.is_empty() {
-            let size = 16 + 8 * due.len() as u32;
-            let (first_lo, first_hi) = (due[0].from.raw(), due[0].to.raw());
-            let ranges = due.len() as u32;
-            self.send_ctrl(ctx, ControlBody::Nak(due), size);
-            self.trace(
-                ctx,
-                EventKind::NakSend {
-                    first_lo,
-                    first_hi,
-                    ranges,
-                },
-            );
-        }
-    }
 }
 
 impl Agent for UdtReceiver {
     fn start(&mut self, ctx: &mut Ctx) {
-        self.ack_deadline = ctx.now.plus(self.cfg.syn);
-        ctx.timer_at(self.ack_deadline, TOK_ACK);
-        self.nak_deadline = ctx.now.plus(self.cfg.syn);
-        ctx.timer_at(self.nak_deadline, TOK_NAK);
+        ctx.timer_at(self.core.next_deadline(), TOK_TIMER);
     }
 
     fn on_packet(&mut self, pkt: SimPacket, ctx: &mut Ctx) {
-        match pkt.payload {
-            Payload::Udt(Packet::Data(d)) => self.on_data(d.seq, &d.payload, ctx),
-            Payload::Udt(Packet::Control(ctrl)) => {
-                if let ControlBody::Ack2 { ack_seq } = ctrl.body {
-                    self.trace(ctx, EventKind::Ack2Recv { ack_no: ack_seq });
-                    if let Some((sample, _seq)) = self.ackw.acknowledge(ack_seq, ctx.now) {
-                        self.rtt.update(sample);
-                        // RTT estimates fit the 32-bit microsecond fields.
-                        let (rtt_us, var_us) =
-                            // udt-lint: allow(as-cast)
-                            (self.rtt.rtt_us() as u32, self.rtt.rtt_var_us() as u32);
-                        self.trace(ctx, EventKind::RttUpdate { rtt_us, var_us });
+        let Payload::Udt(pkt) = pkt.payload else {
+            return;
+        };
+        if self.closed {
+            return;
+        }
+        self.live.on_arrival(ctx.now);
+        match pkt {
+            Packet::Data(d) => self.on_data(&d, ctx),
+            Packet::Control(ctrl) => match ctrl.body {
+                ControlBody::Ack2 { ack_seq } => {
+                    self.core.on_ack2(ctx.now, ack_seq);
+                }
+                ControlBody::KeepAlive => {
+                    if self.live.on_keepalive(ctx.now, self.last_sent) {
+                        self.ctrl(ctx, ControlBody::KeepAlive, ctrl_size(0));
                     }
                 }
-            }
-            _ => {}
+                ControlBody::Shutdown => self.closed = true,
+                ControlBody::Ack { .. } | ControlBody::Nak(_) | ControlBody::Handshake(_) => {}
+            },
         }
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut Ctx) {
-        match token {
-            TOK_ACK => {
-                if ctx.now < self.ack_deadline {
-                    return;
-                }
-                self.send_periodic_ack(ctx);
-                self.ack_deadline = ctx.now.plus(self.cfg.syn);
-                ctx.timer_at(self.ack_deadline, TOK_ACK);
-            }
-            TOK_NAK => {
-                if ctx.now < self.nak_deadline {
-                    return;
-                }
-                self.resend_naks(ctx);
-                let base = nak_base_interval(self.rtt.rtt_us(), self.rtt.rtt_var_us());
-                self.nak_deadline = ctx.now.plus(base.max(self.cfg.syn));
-                ctx.timer_at(self.nak_deadline, TOK_NAK);
-            }
-            _ => {}
+        if token != TOK_TIMER || self.closed {
+            return;
         }
+        let out = self
+            .core
+            .on_timer(ctx.now, self.rcv_next, self.cfg.buffer_pkts);
+        if let Some((ack_seq, data)) = out.ack {
+            self.ctrl(ctx, ControlBody::Ack { ack_seq, data }, ctrl_size(6));
+        }
+        if let Some(due) = out.nak {
+            let size = ctrl_size(2 * due.len());
+            self.ctrl(ctx, ControlBody::Nak(due), size);
+        }
+        match self.live.on_timer(ctx.now, 0.0).action {
+            TimerAction::KeepAlive => self.ctrl(ctx, ControlBody::KeepAlive, ctrl_size(0)),
+            TimerAction::Broken => {
+                self.closed = true;
+                return;
+            }
+            TimerAction::None | TimerAction::Requeued => {}
+        }
+        let next = self.core.next_deadline().min(self.live.next_deadline());
+        ctx.timer_at(next, TOK_TIMER);
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -908,17 +645,7 @@ pub fn attach_udt_flow(
     dst: NodeId,
     snd_cfg: UdtSenderCfg,
 ) -> (crate::packet::AgentId, crate::packet::AgentId) {
-    let rcv_cfg = UdtReceiverCfg {
-        src,
-        flow: snd_cfg.flow,
-        mss: snd_cfg.mss,
-        init_seq: snd_cfg.init_seq,
-        buffer_pkts: snd_cfg.max_flow_win,
-        syn: snd_cfg.cc.syn(),
-    };
-    let s = sim.add_agent(src, Box::new(UdtSender::new(snd_cfg)));
-    let r = sim.add_agent(dst, Box::new(UdtReceiver::new(rcv_cfg)));
-    (s, r)
+    attach_udt_flow_traced(sim, src, dst, snd_cfg, &Tracer::disabled())
 }
 
 /// Like [`attach_udt_flow`], with both endpoints emitting into `tracer`.
@@ -956,11 +683,7 @@ mod tests {
     use super::*;
     use crate::topo::{dumbbell, paper_queue_cap, DumbbellCfg};
 
-    fn run_single_flow(
-        rate_bps: f64,
-        one_way_ms: u64,
-        secs: u64,
-    ) -> (f64, u64, u64) {
+    fn run_single_flow(rate_bps: f64, one_way_ms: u64, secs: u64) -> (f64, u64, u64) {
         let rtt = Nanos::from_millis(2 * one_way_ms);
         let mut d = dumbbell(DumbbellCfg {
             flows: 1,
@@ -1096,7 +819,16 @@ mod tests {
         }
         // Both endpoints and the loss machinery left their marks.
         let has = |name: &str| events.iter().any(|e| e.kind.name() == name);
-        for name in ["data_send", "data_recv", "ack_send", "ack_recv", "loss", "nak_send", "nak_recv", "rate"] {
+        for name in [
+            "data_send",
+            "data_recv",
+            "ack_send",
+            "ack_recv",
+            "loss",
+            "nak_send",
+            "nak_recv",
+            "rate",
+        ] {
             assert!(has(name), "missing {name} events");
         }
         // Every event round-trips through the shared JSONL codec.

@@ -19,7 +19,7 @@ struct Slot {
 }
 
 /// Fixed-size ring of outstanding ACKs awaiting their ACK2.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct AckWindow {
     slots: Vec<Slot>,
     head: usize,

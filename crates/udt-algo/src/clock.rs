@@ -70,6 +70,13 @@ impl Nanos {
         self.0 / NANOS_PER_MICRO
     }
 
+    /// The protocol's wire timestamp: whole microseconds, mod 2^32.
+    #[inline]
+    pub const fn wire_micros(self) -> u32 {
+        // udt-lint: allow(as-cast) — the wire timestamp field is 32-bit
+        (self.as_micros() & 0xFFFF_FFFF) as u32
+    }
+
     /// As fractional microseconds.
     #[inline]
     pub fn as_micros_f64(self) -> f64 {

@@ -25,8 +25,8 @@
 //! Spreading a train over `n` window slots instead would let the one idle
 //! gap before a 16-packet train fill the whole window — the very gap the
 //! median exists to drop. Which stamps bound a sample, and how many packets
-//! it stands for, is the caller's to say (the socket takes the first stamp
-//! of each sender flush: `udt::conn`, `note_arrivals`).
+//! it stands for, is the caller's to say (the event core takes the first
+//! stamp of each sender flush: [`crate::conn::RcvCore::on_arrivals`]).
 
 // Numeric casts in this module are deliberate: bounded protocol arithmetic,
 // 32-bit wire fields, and clock/rate conversions whose ranges are argued at

@@ -26,9 +26,13 @@
 //! * [`rtt`] — RTT/RTT-variance EWMA estimator.
 //! * [`timerctl`] — EXP-timeout backoff and the growing NAK-resend
 //!   interval that prevents control-traffic congestion collapse (§3.5).
+//! * [`conn`] — the protocol event core that sequences all of the above:
+//!   a sending and a receiving half with one handler per packet type and
+//!   timer, which every host (sockets, simulator, model checker) calls.
 
 pub mod ackwindow;
 pub mod clock;
+pub mod conn;
 pub mod flow;
 pub mod history;
 pub mod losslist;

@@ -63,6 +63,14 @@ impl RttEstimator {
         Nanos((self.rtt_us * 1_000.0) as u64)
     }
 
+    /// `(RTT, RTTVar)` as the protocol's 32-bit microsecond fields (ACKs,
+    /// trace events).
+    #[inline]
+    pub fn wire(&self) -> (u32, u32) {
+        // udt-lint: allow(as-cast) — estimates fit the 32-bit µs fields
+        (self.rtt_us as u32, self.rtt_var_us as u32)
+    }
+
     /// `true` once at least one real sample has been absorbed.
     #[inline]
     pub fn has_sample(&self) -> bool {

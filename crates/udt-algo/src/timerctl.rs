@@ -18,6 +18,12 @@ use crate::clock::{Nanos, SYN};
 /// that low-RTT connections don't spin the EXP machinery).
 pub const MIN_EXP_INTERVAL: Nanos = Nanos::from_millis(300);
 
+/// The reference thresholds for declaring a silent peer gone: this many
+/// consecutive expirations,
+pub const MAX_EXP_COUNT: u32 = 16;
+/// spanning at least this much silence.
+pub const BROKEN_SILENCE_FLOOR: Nanos = Nanos::from_secs(10);
+
 /// EXP (peer-silence) timer backoff.
 ///
 /// The interval is `count · (RTT + 4·RTTVar) + SYN`, floored at
@@ -62,7 +68,7 @@ impl ExpBackoff {
     /// expirations spanning at least 10 s of real time; callers combine
     /// this with their own elapsed-time check).
     pub fn is_broken(&self) -> bool {
-        self.count >= 16
+        self.count >= MAX_EXP_COUNT
     }
 }
 

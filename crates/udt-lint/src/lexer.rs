@@ -10,7 +10,6 @@
 //! look-around windows, which is robust to code it has never seen and
 //! keeps the whole tool dependency-free.
 
-use std::collections::{HashMap, HashSet};
 
 /// Token classes the rules distinguish.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,10 +45,10 @@ pub struct Token {
 /// A lexed source file.
 pub struct LexedFile {
     pub tokens: Vec<Token>,
-    /// Lines on which a `// udt-lint: allow(rule, …)` directive applies.
-    /// A directive covers its own line and the next line, so it can sit
-    /// either above the offending statement or trail it.
-    pub allows: HashMap<u32, HashSet<String>>,
+    /// Every `// udt-lint: allow(rule, …)` directive as `(line, rule)`, one
+    /// entry per rule named. A directive covers its own line and the next
+    /// line, so it can sit either above the offending statement or trail it.
+    pub allows: Vec<(u32, String)>,
     /// Every comment, keyed by its starting line (block comments span
     /// multiple lines; the text keeps the delimiters). Rules that audit
     /// documentation — `unsafe-audit`'s `// SAFETY:` requirement — read
@@ -60,7 +59,9 @@ pub struct LexedFile {
 impl LexedFile {
     /// Is `rule` allowed (escape-hatched) on `line`?
     pub fn is_allowed(&self, line: u32, rule: &str) -> bool {
-        self.allows.get(&line).is_some_and(|s| s.contains(rule))
+        self.allows
+            .iter()
+            .any(|(at, r)| r == rule && (*at == line || *at + 1 == line))
     }
 }
 
@@ -276,7 +277,11 @@ fn scan_dquote(b: &[u8], mut j: usize) -> (usize, u32) {
     let mut nl = 0;
     while j < b.len() {
         match b[j] {
-            b'\\' => j += 2,
+            b'\\' => {
+                // A line continuation (`\` then newline) is still a line.
+                nl += u32::from(b.get(j + 1) == Some(&b'\n'));
+                j += 2;
+            }
             b'\n' => {
                 nl += 1;
                 j += 1;
@@ -394,8 +399,8 @@ fn is_test_attr(tokens: &[Token], i: usize) -> bool {
 /// comments (`///`, `//!`) never carry directives — they *describe* the
 /// directive syntax (this tool's own sources, DESIGN excerpts) and must
 /// not activate it.
-fn collect_allows(comments: &[(u32, String)]) -> HashMap<u32, HashSet<String>> {
-    let mut allows: HashMap<u32, HashSet<String>> = HashMap::new();
+fn collect_allows(comments: &[(u32, String)]) -> Vec<(u32, String)> {
+    let mut allows = Vec::new();
     for (line, text) in comments {
         if text.starts_with("///") || text.starts_with("//!") {
             continue;
@@ -411,15 +416,8 @@ fn collect_allows(comments: &[(u32, String)]) -> HashMap<u32, HashSet<String>> {
         let Some(close) = body.find(')') else {
             continue;
         };
-        for rule in body[..close].split(',') {
-            let rule = rule.trim().to_string();
-            if rule.is_empty() {
-                continue;
-            }
-            for l in [*line, line + 1] {
-                allows.entry(l).or_default().insert(rule.clone());
-            }
-        }
+        let rules = body[..close].split(',').map(str::trim);
+        allows.extend(rules.filter(|r| !r.is_empty()).map(|r| (*line, r.to_string())));
     }
     allows
 }
@@ -465,6 +463,13 @@ mod tests {
             .map(|t| t.text.as_str())
             .collect();
         assert_eq!(names, ["let", "a", "let", "b"]);
+    }
+
+    #[test]
+    fn a_string_continuation_line_counts_as_a_line() {
+        let f = lex("let s = \"one \\\n two\";\nlet x = 1; // udt-lint: allow(unwrap)\n");
+        assert_eq!(f.tokens.iter().find(|t| t.text == "x").unwrap().line, 3);
+        assert_eq!(f.allows, vec![(3, "unwrap".to_string())]);
     }
 
     #[test]

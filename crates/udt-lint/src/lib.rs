@@ -80,13 +80,11 @@ pub fn analyze(sources: &[(String, String)], lock_order: &[String]) -> Report {
     let mut warnings = Vec::new();
     for (rel, lf) in &lexed {
         let summary = summaries.get(&crate_key(rel)).unwrap_or(&empty);
-        for (line, names) in &lf.allows {
-            for n in names {
-                if !rules::RULES.contains(&n.as_str()) {
-                    warnings.push(format!(
-                        "{rel}:{line}: unknown rule `{n}` in udt-lint allow directive"
-                    ));
-                }
+        for (line, n) in &lf.allows {
+            if !rules::RULES.contains(&n.as_str()) {
+                warnings.push(format!(
+                    "{rel}:{line}: unknown rule `{n}` in udt-lint allow directive"
+                ));
             }
         }
         let (fs, st) = analyze_file(rel, lf, lock_order, summary);
@@ -123,6 +121,12 @@ pub fn analyze(sources: &[(String, String)], lock_order: &[String]) -> Report {
                 Some(_) => {}
             }
         }
+    }
+    // Last, because it audits the escape hatches against everything the
+    // passes above found.
+    for (rel, lf) in &lexed {
+        let unused = rules::unused_allows(rel, lf, &findings);
+        findings.extend(unused);
     }
     findings.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     warnings.sort();
@@ -193,5 +197,8 @@ pub fn analyze_file(
 pub fn analyze_source(rel: &str, src: &str, lock_order: &[String]) -> (Vec<Finding>, UnsafeStats) {
     let lexed = lexer::lex(src);
     let summary = guards::lock_summary(&[&lexed]);
-    analyze_file(rel, &lexed, lock_order, &summary)
+    let (mut findings, stats) = analyze_file(rel, &lexed, lock_order, &summary);
+    let unused = rules::unused_allows(rel, &lexed, &findings);
+    findings.extend(unused);
+    (findings, stats)
 }

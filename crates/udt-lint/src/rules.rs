@@ -12,6 +12,7 @@
 //! | `secret-material` | key/secret/tag identifiers fed to format macros         |
 //! | `hot-alloc` | per-packet heap allocation in the datapath modules            |
 //! | `metrics-name` | registry metric names off the `udt_*` namespace, and duplicate registration sites |
+//! | `unused-allow` | an allow directive that suppresses no finding (stale escape hatch) |
 //!
 //! Three further rules live in their own modules, built on the
 //! block-structure layer in [`crate::scope`]:
@@ -54,6 +55,7 @@ pub const RULES: &[&str] = &[
     "guard-liveness",
     "unsafe-audit",
     "ffi-contract",
+    "unused-allow",
 ];
 
 /// Identifiers treated as sequence-number-typed. Field and local names in
@@ -827,6 +829,34 @@ pub fn metrics_name(file: &str, lexed: &LexedFile) -> Vec<Finding> {
 }
 
 
+/// `unused-allow`: an `udt-lint: allow(rule)` directive with no finding of
+/// that rule on its line or the next. `findings` is everything the other
+/// rules found (any file). An escape hatch that hides nothing is worse than
+/// noise: the code it excused has moved or been fixed, and the directive is
+/// now waiting to hide the next real finding that lands near it. Not itself
+/// suppressible: delete the directive.
+pub fn unused_allows(file: &str, lexed: &LexedFile, findings: &[Finding]) -> Vec<Finding> {
+    let used = |at: u32, rule: &str| {
+        findings
+            .iter()
+            .any(|f| f.file == file && f.rule == rule && (f.line == at || f.line == at + 1))
+    };
+    lexed
+        .allows
+        .iter()
+        .filter(|(at, rule)| !used(*at, rule))
+        .map(|(at, rule)| Finding {
+            file: file.to_string(),
+            line: *at,
+            rule: "unused-allow",
+            message: format!(
+                "`allow({rule})` suppresses nothing: no `{rule}` finding on this line or the next"
+            ),
+            allowed: false,
+        })
+        .collect()
+}
+
 /// Which rule set applies to `path` (relative to the repo root)?
 pub struct Scope {
     pub seq_cmp: bool,
@@ -892,13 +922,15 @@ pub fn scope_for(rel: &Path) -> Scope {
             | "udt-trace"
     );
     let test_file = p.ends_with("_tests.rs") || p.ends_with("/tests.rs");
-    // The blessed hot-path modules of the batched datapath: zero
-    // per-packet allocation in steady state is a contract there.
+    // The blessed hot-path modules of the batched datapath, and the protocol
+    // event core whose handlers they call once per packet: zero per-packet
+    // allocation in steady state is a contract there.
     let hot_path = p.ends_with("udt/src/mux.rs")
         || p.ends_with("udt/src/conn.rs")
         || p.ends_with("udt/src/pool.rs")
         || p.ends_with("udt/src/mmsg.rs")
-        || p.ends_with("udt-chaos/src/relay.rs");
+        || p.ends_with("udt-chaos/src/relay.rs")
+        || (p.contains("udt-algo/src/conn/") && !test_file);
     let ffi = crate::unsafe_audit::is_ffi_allowlisted(&p);
     Scope {
         seq_cmp: !is_blessed_seqno && !is_tcp_model && !harness,
@@ -1127,6 +1159,10 @@ mod tests {
         assert!(scope_for(Path::new("crates/udt/src/pool.rs")).hot_alloc);
         assert!(scope_for(Path::new("crates/udt/src/mmsg.rs")).hot_alloc);
         assert!(scope_for(Path::new("crates/udt-chaos/src/relay.rs")).hot_alloc);
+        assert!(scope_for(Path::new("crates/udt-algo/src/conn/snd.rs")).hot_alloc);
+        assert!(scope_for(Path::new("crates/udt-algo/src/conn/rcv.rs")).hot_alloc);
+        assert!(!scope_for(Path::new("crates/udt-algo/src/conn/tests.rs")).hot_alloc);
+        assert!(!scope_for(Path::new("crates/udt-algo/src/losslist.rs")).hot_alloc);
         assert!(!scope_for(Path::new("crates/udt/src/socket.rs")).hot_alloc);
         assert!(!scope_for(Path::new("crates/udt/src/buffer.rs")).hot_alloc);
         assert!(!scope_for(Path::new("crates/bench/src/realnet.rs")).hot_alloc);

@@ -31,6 +31,7 @@ const BAD: &[(&str, &str, &str)] = &[
     ("hot_alloc_closure.rs", "crates/udt/src/mux.rs", "hot-alloc"),
     ("lock_order_inversion.rs", "crates/udt/src/conn.rs", "lock-order"),
     ("metrics_name.rs", "crates/udt/src/obs.rs", "metrics-name"),
+    ("unused_allow.rs", "crates/udt/src/buffer.rs", "unused-allow"),
 ];
 
 /// (fixture file, pseudo repo path): the fixed twins, asserted clean.
@@ -45,6 +46,7 @@ const GOOD: &[(&str, &str)] = &[
     ("hot_alloc_closure.rs", "crates/udt/src/mux.rs"),
     ("lock_order_inversion.rs", "crates/udt/src/conn.rs"),
     ("metrics_name.rs", "crates/udt/src/obs.rs"),
+    ("unused_allow.rs", "crates/udt/src/buffer.rs"),
 ];
 
 fn fixture(kind: &str, name: &str) -> String {

@@ -564,7 +564,6 @@ mod tests {
     fn bad_names_are_rejected() {
         let r = Registry::new();
         assert!(matches!(
-            // udt-lint: allow(metrics-name) — intentionally-invalid name under test
             r.counter("nope", "t", &[]),
             Err(RegistryError::BadName(_))
         ));

@@ -50,7 +50,6 @@ impl Reassembly {
     /// delivered, or absurdly far-future sequence numbers.
     pub fn offer(&mut self, seq: SeqNo, data: Vec<u8>) -> bool {
         let off = self.rcv_next.offset_to(seq);
-        // udt-lint: allow(seq-cmp) — off is a wrap-safe offset, not a raw seqno
         if off < 0 || off >= self.max_gap {
             return false;
         }

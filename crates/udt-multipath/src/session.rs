@@ -276,7 +276,6 @@ impl BondedSender {
                     return Err(StreamError::new("send after finish"));
                 }
                 let in_flight = g.snd_una.offset_to(g.next_seq);
-                // udt-lint: allow(seq-cmp) — wrap-safe offset vs window size
                 if in_flight < window {
                     let core = &mut *g;
                     let owners = core.sched.assign(&core.table);
@@ -547,7 +546,6 @@ fn tx_reader_loop(shared: &TxShared, cfg: &BondedCfg, p: PathId, stream: &dyn Pa
                 // Accept only ACKs inside [snd_una, next_seq].
                 let adv = g.snd_una.offset_to(cum);
                 let lim = g.snd_una.offset_to(g.next_seq);
-                // udt-lint: allow(seq-cmp) — wrap-safe offsets, not raw seqnos
                 if adv > 0 && adv <= lim {
                     while g.snd_una != cum {
                         let raw = g.snd_una.raw();

@@ -345,7 +345,6 @@ impl ReplayWindow {
         if d > 0 {
             return ReplayCheck::Fresh; // ahead of everything delivered
         }
-        // udt-lint: allow(as-cast) — d ≤ 0 here, so -d fits u32
         #[allow(clippy::cast_sign_loss)]
         let behind = (-d) as u32;
         if behind >= REPLAY_WINDOW_PKTS {
@@ -371,7 +370,6 @@ impl ReplayWindow {
         }
         let d = self.top.offset_to(seq);
         if d > 0 {
-            // udt-lint: allow(as-cast) — d > 0 here, fits u32
             #[allow(clippy::cast_sign_loss)]
             let ahead = d as u32;
             if ahead >= REPLAY_WINDOW_PKTS {

@@ -228,7 +228,7 @@ impl Value {
         match self {
             Value::UInt(u) => Some(*u),
             // Tolerate numbers an external tool re-serialised as floats.
-            Value::Float(f) if f.fract() == 0.0 && *f >= 0.0 && *f < 1.8e19 => Some(*f as u64), // udt-lint: allow(as-cast) — integral, range-checked
+            Value::Float(f) if f.fract() == 0.0 && *f >= 0.0 && *f < 1.8e19 => Some(*f as u64),
             _ => None,
         }
     }
@@ -239,7 +239,7 @@ impl Value {
 
     fn as_f64(&self) -> Option<f64> {
         match self {
-            Value::UInt(u) => Some(*u as f64), // udt-lint: allow(as-cast) — widening for display maths
+            Value::UInt(u) => Some(*u as f64),
             Value::Float(f) => Some(*f),
             _ => None,
         }
@@ -579,7 +579,7 @@ impl Parser<'_> {
                     match self.number()? {
                         Value::UInt(u) => arr.push(u),
                         Value::Float(f) if f.fract() == 0.0 && f >= 0.0 => {
-                            arr.push(f as u64); // udt-lint: allow(as-cast) — integral, non-negative
+                            arr.push(f as u64);
                         }
                         _ => return Err("non-integer array element".into()),
                     }

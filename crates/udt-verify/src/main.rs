@@ -1,20 +1,23 @@
 //! udt-verify: bounded model checker for the UDT event core.
 //!
-//! Drives the pure sender/receiver state machines (real `SndBuffer` /
-//! `RcvBuffer` / loss lists, the `conn.rs` event logic) through an
-//! exhaustive DFS over small delivery schedules — every interleaving of
-//! transmit, deliver, drop, duplicate and timer events within the
-//! configured fault budgets — checking after every event that:
+//! Drives the protocol event core itself (`udt_algo::conn`: the `SndCore` /
+//! `RcvCore` the sockets and the simulator run) with the real `SndBuffer` /
+//! `RcvBuffer` through an exhaustive DFS over small schedules — every
+//! interleaving of transmit, deliver (data, ACK, ACK2, NAK), drop, duplicate
+//! and the two timers within the configured fault budgets — checking after
+//! every event that:
 //!
-//! - both loss lists stay sorted, duplicate-free and inside the live span,
-//! - `snd_una` only advances (modulo-2^31 wrap included),
+//! - the cores' own invariants hold (loss lists sorted, duplicate-free and
+//!   inside the live span; `snd_una` never past the send frontier; the ACK2
+//!   confirmation never ahead of the last ACK sent),
 //! - no byte is delivered twice or out of order,
 //! - the flow window is never exceeded,
-//! - the transfer can always make progress (no stuck states).
+//! - the transfer can always make progress (no stuck states) — through a
+//!   dropped final ACK, a dropped ACK2, a dropped tail packet.
 //!
 //! Usage:
-//!   udt-verify              # full sweep (several seconds)
-//!   udt-verify --quick      # CI sweep (sub-second)
+//!   udt-verify              # full sweep (~6 min)
+//!   udt-verify --quick      # CI sweep (~5 s)
 //!   udt-verify --replay <seed>   # re-run a violation trace verbosely
 
 mod model;
@@ -46,9 +49,10 @@ fn sweep(quick: bool) -> Vec<(String, Config)> {
             (4, 3, 1, 1, 8),
             (5, 2, 1, 0, 8),
             (6, 3, 2, 0, 8),
-            (6, 4, 1, 1, 8),
-            (8, 3, 1, 0, 8),
-            // Tight receive buffer: exercises the OutOfWindow path.
+            (6, 4, 1, 0, 8),
+            (7, 3, 1, 0, 8),
+            // Tight receive buffer: the advertised window binds, and the
+            // implausible-sequence gate is in reach.
             (5, 4, 1, 1, 4),
         ]
     };

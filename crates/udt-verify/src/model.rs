@@ -1,11 +1,19 @@
 //! The protocol model: one sender, one receiver, one lossy network, built
-//! from the *real* data structures (`SndBuffer`/`RcvBuffer` from `udt`,
-//! the static-array loss lists from `udt-algo`) and mirroring the event
-//! core of `conn.rs` (`handle_data`/`handle_ack`/`handle_nak`/EXP
-//! requeue). There are no threads, no clocks and no randomness: the model
-//! checker owns the schedule, so every interleaving the transport could
-//! experience — reorder, loss, duplication, crossing ACKs and NAKs — is a
-//! path in a finite graph.
+//! from the *real* data structures (`SndBuffer`/`RcvBuffer` from `udt`) and
+//! driving the *real* event core (`udt_algo::conn`: the same `SndCore` and
+//! `RcvCore` calls `udt::conn` makes for data, ACK, ACK2, NAK and the
+//! timers). There are no threads and no randomness, and the clock is the
+//! model checker's: it owns the schedule, so every interleaving the
+//! transport could experience — reorder, loss, duplication, crossing ACKs
+//! and NAKs, a lost ACK2, timers firing in between — is a path in a finite
+//! graph.
+//!
+//! Time is abstracted to what the sequencing depends on. A delivery takes a
+//! microsecond; a timer action means "time passes until this timer has
+//! something to do", so the core's own time gates (the ACK repeat interval,
+//! the EXP interval, the progress clock) decide *what* happens and the model
+//! only decides *that* enough time went by. Periodic NAK reports are left
+//! out (as before): a lost NAK is repaired through the EXP timer.
 //!
 //! Payload bytes encode their position in the stream, which is what lets
 //! [`Model::check`] prove end-to-end properties ("no byte delivered twice
@@ -20,11 +28,11 @@ use std::hash::{Hash, Hasher};
 
 use bytes::Bytes;
 use udt::buffer::{RcvBuffer, SndBuffer};
-use udt_algo::clock::Nanos;
-use udt_algo::{RcvLossList, SndLossList};
-use udt_proto::SeqNo;
-#[cfg(test)]
-use udt_proto::SeqRange;
+use udt_algo::clock::{Nanos, SYN};
+use udt_algo::conn::{CoreTrace, DataVerdict, RcvCore, SndCfg, SndCore, TimerAction};
+use udt_algo::{CcContext, RateControl};
+use udt_proto::ctrl::AckData;
+use udt_proto::{SeqNo, SeqRange};
 
 /// Payload bytes per modelled packet. Two bytes encode offsets up to
 /// 65535, far beyond any bounded run.
@@ -101,9 +109,24 @@ impl Config {
 /// reordering.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Pkt {
-    Data { seq: SeqNo, retx: bool },
-    Ack { ack_no: SeqNo },
-    Nak { from: SeqNo, to: SeqNo },
+    Data {
+        seq: SeqNo,
+        retx: bool,
+    },
+    Ack {
+        ack_seq: u32,
+        data: AckData,
+    },
+    /// `confirms` is what the ACK it answers acknowledged (the receiver
+    /// looks that up by `ack_seq`; kept here to name the packet).
+    Ack2 {
+        ack_seq: u32,
+        confirms: SeqNo,
+    },
+    Nak {
+        from: SeqNo,
+        to: SeqNo,
+    },
 }
 
 impl Pkt {
@@ -111,18 +134,22 @@ impl Pkt {
         match self {
             Pkt::Data { seq, retx: false } => format!("DATA {seq}"),
             Pkt::Data { seq, retx: true } => format!("DATA {seq} (retx)"),
-            Pkt::Ack { ack_no } => format!("ACK {ack_no}"),
+            Pkt::Ack { data, .. } => format!("ACK {}", data.rcv_next),
+            Pkt::Ack2 { confirms, .. } => format!("ACK2 for ACK {confirms}"),
             Pkt::Nak { from, to } => format!("NAK {from}..={to}"),
         }
     }
 
     /// Canonical encoding for state hashing (bag semantics: the hash must
-    /// not depend on arrival order into the vector).
+    /// not depend on arrival order into the vector). ACK numbers are left
+    /// out: two ACKs saying the same thing, and the ACK2s answering them,
+    /// have the same future.
     fn encode(&self) -> (u8, u32, u32) {
         match self {
             Pkt::Data { seq, retx } => (0, seq.raw(), u32::from(*retx)),
-            Pkt::Ack { ack_no } => (1, ack_no.raw(), 0),
+            Pkt::Ack { data, .. } => (1, data.rcv_next.raw(), data.avail_buf_pkts.unwrap_or(0)),
             Pkt::Nak { from, to } => (2, from.raw(), to.raw()),
+            Pkt::Ack2 { confirms, .. } => (3, confirms.raw(), 0),
         }
     }
 }
@@ -138,11 +165,12 @@ pub enum Action {
     Drop(usize),
     /// Network duplicates in-flight packet `i` (consumes dup budget).
     Dup(usize),
-    /// Receiver's ACK timer fires.
-    AckEmit,
-    /// Sender's EXP timer fires with the loss list empty: requeue all
-    /// in-flight data (`conn.rs` `check_exp` haunted-territory path).
-    ExpRequeue,
+    /// Time passes until the receiver's ACK rule sends one: a new ACK on the
+    /// next SYN, a repeat of an unconfirmed one after its interval.
+    AckTimer,
+    /// Time passes on a silent wire until the sender's timer acts: EXP
+    /// expires, and data that made no progress is queued again.
+    SndTimer,
 }
 
 impl Action {
@@ -152,8 +180,8 @@ impl Action {
             Action::Deliver(i) => format!("D{i}"),
             Action::Drop(i) => format!("X{i}"),
             Action::Dup(i) => format!("U{i}"),
-            Action::AckEmit => "A".into(),
-            Action::ExpRequeue => "E".into(),
+            Action::AckTimer => "A".into(),
+            Action::SndTimer => "E".into(),
         }
     }
 
@@ -164,8 +192,8 @@ impl Action {
         let idx = || rest.parse::<usize>().ok();
         Some(match head {
             'T' if rest.is_empty() => Action::Transmit,
-            'A' if rest.is_empty() => Action::AckEmit,
-            'E' if rest.is_empty() => Action::ExpRequeue,
+            'A' if rest.is_empty() => Action::AckTimer,
+            'E' if rest.is_empty() => Action::SndTimer,
             'D' => Action::Deliver(idx()?),
             'X' => Action::Drop(idx()?),
             'U' => Action::Dup(idx()?),
@@ -174,29 +202,50 @@ impl Action {
     }
 }
 
+/// The model's rate controller: a fixed window, no pacing. What the real
+/// controllers decide is how fast; the model explores every order anyway.
+#[derive(Clone)]
+struct FixedWindow(f64);
+
+impl RateControl for FixedWindow {
+    fn on_ack(&mut self, _: SeqNo, _: &CcContext) {}
+    fn on_loss(&mut self, _: &[SeqRange], _: &CcContext) {}
+    fn on_timeout(&mut self, _: &CcContext) {}
+    fn pkt_snd_period_us(&self) -> f64 {
+        1.0
+    }
+    fn cwnd(&self) -> f64 {
+        self.0
+    }
+    fn name(&self) -> &'static str {
+        "fixed-window"
+    }
+}
+
+/// A timer action gives up (and the search reports it) if the core has not
+/// acted after this many of its own deadlines.
+const MAX_TICKS: usize = 64;
+
 /// The full model state.
 #[derive(Clone)]
 pub struct Model {
     pub cfg: Config,
-    // --- sender (mirrors `SndCtl`) ---
+    // --- sender (as `udt::conn`'s `SndCtl`) ---
     snd_buffer: SndBuffer,
-    snd_loss: SndLossList,
-    snd_una: SeqNo,
-    next_new: SeqNo,
-    // --- receiver (mirrors `RcvCtl`) ---
+    snd: SndCore<FixedWindow>,
+    // --- receiver (as `RcvCtl`) ---
     rcv_buffer: RcvBuffer,
-    rcv_loss: RcvLossList,
-    lrsn: SeqNo,
-    last_ack_sent: SeqNo,
+    rcv: RcvCore,
     // --- application ---
     delivered: Vec<u8>,
     // --- network ---
     net: Vec<Pkt>,
     drops_used: u32,
     dups_used: u32,
-    /// Logical clock: ticks once per event so loss-list timestamps are
-    /// distinct and deterministic.
+    /// The model's clock (see the module docs).
     now: Nanos,
+    /// A timer action found the core in a state no schedule should reach.
+    fault: Option<String>,
 }
 
 impl Model {
@@ -207,20 +256,27 @@ impl Model {
         let stream: Vec<u8> = (0..total * PAYLOAD).map(|i| i as u8).collect();
         let pushed = snd_buffer.append(&stream);
         assert_eq!(pushed, stream.len(), "send buffer sized for the transfer");
+        let loss_cap = (total * 2).max(16);
+        let cc = Box::new(FixedWindow(f64::from(cfg.window)));
+        let snd = SndCfg::new(cfg.init_seq, cc, PAYLOAD as u32, loss_cap);
         Model {
             snd_buffer,
-            snd_loss: SndLossList::new((total * 2).max(16)),
-            snd_una: cfg.init_seq,
-            next_new: cfg.init_seq,
+            snd: SndCore::new(snd, Nanos::ZERO),
             rcv_buffer: RcvBuffer::new(cfg.buf_pkts, cfg.init_seq),
-            rcv_loss: RcvLossList::new((total * 2).max(16)),
-            lrsn: cfg.init_seq.prev(),
-            last_ack_sent: cfg.init_seq.prev(),
+            rcv: RcvCore::new(
+                cfg.init_seq,
+                cfg.buf_pkts as u32,
+                loss_cap,
+                SYN,
+                Nanos::ZERO,
+                CoreTrace::default(),
+            ),
             delivered: Vec::new(),
             net: Vec::new(),
             drops_used: 0,
             dups_used: 0,
             now: Nanos::ZERO,
+            fault: None,
             cfg,
         }
     }
@@ -232,22 +288,22 @@ impl Model {
             .collect()
     }
 
-    /// Receiver's delivery frontier: first loss, or one past the largest
-    /// received.
-    fn rcv_frontier(&self) -> SeqNo {
-        self.rcv_loss.first().unwrap_or_else(|| self.lrsn.next())
+    /// Packets of the transfer numbered so far.
+    fn sent(&self) -> u32 {
+        self.cfg.init_seq.offset_to(self.snd.snd_una()).max(0) as u32 + self.snd.in_flight()
     }
 
-    /// Packets sent but not yet acknowledged.
-    fn in_flight(&self) -> i32 {
-        self.snd_una.offset_to(self.next_new)
+    /// The receiver heard its last ACK confirmed and has nothing new to say.
+    fn rcv_quiet(&self) -> bool {
+        self.rcv.frontier() == self.rcv.ack_state().1
     }
 
-    /// Is the transfer fully done (everything delivered and acknowledged,
-    /// wire drained)?
+    /// Is the transfer fully done: everything delivered, acknowledged and
+    /// the acknowledgement confirmed, wire drained?
     pub fn complete(&self) -> bool {
         self.delivered.len() == self.cfg.total_pkts as usize * PAYLOAD
-            && self.in_flight() == 0
+            && self.snd.in_flight() == 0
+            && self.rcv_quiet()
             && self.net.is_empty()
     }
 
@@ -255,13 +311,11 @@ impl Model {
         self.delivered.len()
     }
 
-    /// All actions enabled in this state. Enabledness encodes the timers'
-    /// gating in `conn.rs`: EXP requeue only fires when the wire has gone
-    /// silent with data outstanding, the ACK timer is suppressed when it
-    /// would repeat itself with an identical ACK already in flight.
+    /// All actions enabled in this state. The gates on the two timer actions
+    /// are what keeps the graph finite; what a timer *does* is the core's.
     pub fn enabled(&self) -> Vec<Action> {
         let mut acts = Vec::new();
-        if self.can_transmit() {
+        if self.snd.has_sendable(self.sent() < self.cfg.total_pkts) {
             acts.push(Action::Transmit);
         }
         for i in 0..self.net.len() {
@@ -277,40 +331,33 @@ impl Model {
                 acts.push(Action::Dup(i));
             }
         }
-        if self.can_ack_emit() {
-            acts.push(Action::AckEmit);
+        if self.can_ack_timer() {
+            acts.push(Action::AckTimer);
         }
-        if self.can_exp_requeue() {
-            acts.push(Action::ExpRequeue);
+        if self.can_snd_timer() {
+            acts.push(Action::SndTimer);
         }
         acts
     }
 
-    fn can_transmit(&self) -> bool {
-        if !self.snd_loss.is_empty() {
-            return true;
+    fn can_ack_timer(&self) -> bool {
+        if self.rcv_quiet() {
+            return false; // the core would stay silent however long we wait
         }
-        let sent = self.cfg.init_seq.offset_to(self.next_new);
-        sent < self.cfg.total_pkts as i32 && self.in_flight() < self.cfg.window as i32
+        // Something new to acknowledge: always. A repeat: only once the last
+        // exchange has left the wire, ACK2 included — a lost ACK or ACK2 must
+        // be recoverable, but copies must not pile up without bound.
+        self.rcv.frontier() != self.rcv.ack_state().0
+            || !self
+                .net
+                .iter()
+                .any(|p| matches!(p, Pkt::Ack { .. } | Pkt::Ack2 { .. }))
     }
 
-    fn can_ack_emit(&self) -> bool {
-        let ack_no = self.rcv_frontier();
-        if ack_no != self.last_ack_sent {
-            return true;
-        }
-        // Re-ACK path: a lost ACK must be recoverable, but only allow it
-        // when no identical ACK is already in flight (keeps the graph
-        // finite, like the real timer's duplicate suppression).
-        self.in_flight() > 0
-            && ack_no != self.cfg.init_seq.prev()
-            && !self.net.iter().any(|p| matches!(p, Pkt::Ack { ack_no: a } if *a == ack_no))
-    }
-
-    fn can_exp_requeue(&self) -> bool {
-        // `check_exp`: wire silent, nothing queued for retransmission,
-        // data outstanding.
-        self.net.is_empty() && self.snd_loss.is_empty() && self.in_flight() > 0
+    fn can_snd_timer(&self) -> bool {
+        // Wire silent, nothing queued for retransmission, data outstanding:
+        // where `on_timer` has a repair to make.
+        self.net.is_empty() && self.snd.loss_ranges().is_empty() && self.snd.in_flight() > 0
     }
 
     /// Apply one action. Returns a human-readable description of what
@@ -320,23 +367,25 @@ impl Model {
         self.now = self.now.plus(Nanos::from_micros(1));
         match a {
             Action::Transmit => {
-                let (seq, retx) = if let Some(seq) = self.snd_loss.pop_first() {
-                    (seq, true)
-                } else {
-                    let seq = self.next_new;
-                    self.next_new = self.next_new.next();
-                    (seq, false)
-                };
+                let more = self.sent() < self.cfg.total_pkts;
+                let (seq, retx) = self.snd.next(|_| more).expect("Transmit is enabled");
                 self.net.push(Pkt::Data { seq, retx });
-                format!("sender transmits {}", self.net.last().map(Pkt::describe).unwrap_or_default())
+                format!("sender transmits {}", Pkt::Data { seq, retx }.describe())
             }
             Action::Deliver(i) => {
                 let pkt = self.net.remove(i);
                 let desc = format!("deliver {}", pkt.describe());
                 match pkt {
                     Pkt::Data { seq, .. } => self.recv_data(seq),
-                    Pkt::Ack { ack_no } => self.recv_ack(ack_no),
-                    Pkt::Nak { from, to } => self.recv_nak(from, to),
+                    Pkt::Ack { ack_seq, data } => self.recv_ack(ack_seq, &data),
+                    Pkt::Ack2 { ack_seq, .. } => {
+                        self.rcv.on_ack2(self.now, ack_seq);
+                    }
+                    Pkt::Nak { from, to } => {
+                        self.snd.on_arrival(self.now);
+                        let mut ranges = vec![SeqRange::new(from, to)];
+                        self.snd.on_nak(self.now, &mut ranges, 0.0);
+                    }
                 }
                 desc
             }
@@ -352,46 +401,59 @@ impl Model {
                 self.net.push(pkt);
                 desc
             }
-            Action::AckEmit => {
-                let ack_no = self.rcv_frontier();
-                self.last_ack_sent = ack_no;
-                self.net.push(Pkt::Ack { ack_no });
-                format!("receiver emits ACK {ack_no}")
+            Action::AckTimer => {
+                let (base, cap) = (self.rcv_buffer.base_seq(), self.cfg.buf_pkts as u32);
+                for _ in 0..MAX_TICKS {
+                    // SYN by SYN at first, then faster: the repeat interval
+                    // follows the RTT samples, and those include our waits.
+                    self.now = self
+                        .now
+                        .plus(SYN.max(self.now.since(self.rcv.last_ack_time())));
+                    if let Some((ack_seq, data)) = self.rcv.ack(self.now, base, cap) {
+                        self.net.push(Pkt::Ack { ack_seq, data });
+                        return format!("receiver emits ACK {}", data.rcv_next);
+                    }
+                }
+                self.fault = Some("the ACK rule stayed silent with an unconfirmed ACK".into());
+                "receiver's ACK timer: nothing".into()
             }
-            Action::ExpRequeue => {
-                let from = self.snd_una;
-                let to = self.next_new.prev();
-                self.snd_loss.insert_at(from, to, self.now);
-                format!("EXP requeues {from}..={to}")
+            Action::SndTimer => {
+                for _ in 0..MAX_TICKS {
+                    self.now = self.now.max(self.snd.next_deadline());
+                    match self.snd.on_timer(self.now, 0.0).action {
+                        TimerAction::None => {}
+                        TimerAction::Requeued => {
+                            let r = self.snd.loss_ranges();
+                            return format!("EXP requeues {}..={}", r[0].from, r[0].to);
+                        }
+                        other => {
+                            self.fault = Some(format!("{other:?} with data outstanding"));
+                            return format!("sender's timer: {other:?}");
+                        }
+                    }
+                }
+                self.fault = Some("the sender's timer never repaired outstanding data".into());
+                "sender's timer: nothing".into()
             }
         }
     }
 
-    /// Receiver side of a data arrival — mirrors `handle_data`.
+    /// Receiver side of a data arrival, as `udt::conn`'s `handle_data`.
     fn recv_data(&mut self, seq: SeqNo) {
-        // Plausibility gate: far-future packets are rejected wholesale.
-        if self.rcv_buffer.base_seq().offset_to(seq) >= self.rcv_buffer.cap_pkts() as i32 {
-            return;
-        }
-        let off = self.lrsn.offset_to(seq);
-        if off > 0 {
-            if off > 1 {
-                let from = self.lrsn.next();
-                let to = seq.prev();
-                let added = self.rcv_loss.insert_at(from, to, self.now);
-                if added > 0 {
-                    // Automatic NAK on gap detection.
-                    self.net.push(Pkt::Nak { from, to });
-                }
-            }
-            self.lrsn = seq;
-        } else {
-            self.rcv_loss.remove(seq);
+        let (base, cap) = (self.rcv_buffer.base_seq(), self.cfg.buf_pkts as u32);
+        self.rcv.on_arrivals([(seq, 0, self.now)]);
+        match self.rcv.on_data(self.now, seq, PAYLOAD as u32, base, cap) {
+            DataVerdict::Implausible => return,
+            DataVerdict::New { nak: Some(gap) } => self.net.push(Pkt::Nak {
+                from: gap.from,
+                to: gap.to,
+            }),
+            _ => {}
         }
         let payload = self.payload_for(seq);
         let _ = self.rcv_buffer.insert(seq, payload);
         // The application drains everything deliverable immediately.
-        let upto = self.rcv_frontier();
+        let upto = self.rcv.frontier();
         let mut buf = [0u8; 64];
         loop {
             let n = self.rcv_buffer.read(&mut buf, upto);
@@ -402,33 +464,19 @@ impl Model {
         }
     }
 
-    /// Sender side of an ACK arrival — mirrors `handle_ack`.
-    fn recv_ack(&mut self, ack: SeqNo) {
-        if self.next_new.lt_seq(ack) {
+    /// Sender side of an ACK arrival, as `handle_ack`.
+    fn recv_ack(&mut self, ack_seq: u32, data: &AckData) {
+        self.snd.on_arrival(self.now);
+        let Some(acked) = self.snd.on_ack(self.now, ack_seq, data, 0.0) else {
             return; // corrupted/hostile: beyond the send frontier
+        };
+        self.snd_buffer.ack(acked.pkts as usize);
+        if acked.ack2 {
+            self.net.push(Pkt::Ack2 {
+                ack_seq,
+                confirms: data.rcv_next,
+            });
         }
-        if self.snd_una.lt_seq(ack) {
-            let n = self.snd_una.offset_to(ack);
-            self.snd_buffer.ack(n as usize);
-            self.snd_una = ack;
-            self.snd_loss.remove_upto(ack.prev());
-        }
-    }
-
-    /// Sender side of a NAK arrival — mirrors `handle_nak` (with the
-    /// live-span clamp).
-    fn recv_nak(&mut self, from: SeqNo, to: SeqNo) {
-        let span = self.snd_una.offset_to(self.next_new);
-        if span <= 0 {
-            return;
-        }
-        let lo = self.snd_una.offset_to(from).max(0);
-        let hi = self.snd_una.offset_to(to).min(span - 1);
-        if lo > hi {
-            return;
-        }
-        self.snd_loss
-            .insert_at(self.snd_una.add(lo as u32), self.snd_una.add(hi as u32), self.now);
     }
 
     /// The payload the sender would put in packet `seq` (position-encoded
@@ -443,13 +491,17 @@ impl Model {
 
     /// Check every invariant. Called by the search after every step.
     pub fn check(&self) -> Result<(), String> {
-        // Structural invariants of the real data structures.
-        self.snd_loss
+        if let Some(fault) = &self.fault {
+            return Err(fault.clone());
+        }
+        // The cores' own cross-field invariants (the hooks `udt::conn` runs
+        // in debug builds), and the real buffers'.
+        self.snd
             .check_invariants()
-            .map_err(|e| format!("snd loss list: {e}"))?;
-        self.rcv_loss
-            .check_invariants()
-            .map_err(|e| format!("rcv loss list: {e}"))?;
+            .map_err(|e| format!("sender: {e}"))?;
+        self.rcv
+            .check_invariants(self.rcv_buffer.base_seq())
+            .map_err(|e| format!("receiver: {e}"))?;
         self.snd_buffer
             .check_invariants()
             .map_err(|e| format!("snd buffer: {e}"))?;
@@ -457,47 +509,29 @@ impl Model {
             .check_invariants()
             .map_err(|e| format!("rcv buffer: {e}"))?;
 
-        // snd_una within [init, next_new]; next_new within the transfer.
-        if !self.snd_una.le_seq(self.next_new) {
+        // The send frontier stays within the transfer and the buffer.
+        if self.sent() > self.cfg.total_pkts {
             return Err(format!(
-                "snd_una {} passed send frontier {}",
-                self.snd_una, self.next_new
+                "{} packets numbered, transfer has {}",
+                self.sent(),
+                self.cfg.total_pkts
             ));
         }
-        let sent = self.cfg.init_seq.offset_to(self.next_new);
-        if sent < 0 || sent > self.cfg.total_pkts as i32 {
-            return Err(format!("next_new {} outside the transfer", self.next_new));
+        if self.snd.in_flight() as usize > self.snd_buffer.len_pkts() {
+            return Err(format!(
+                "{} packets in flight but only {} buffered",
+                self.snd.in_flight(),
+                self.snd_buffer.len_pkts()
+            ));
         }
 
         // Flow window never exceeded.
-        if self.in_flight() > self.cfg.window as i32 {
+        if self.snd.in_flight() > self.cfg.window.max(2) {
             return Err(format!(
                 "flow window exceeded: {} in flight, window {}",
-                self.in_flight(),
+                self.snd.in_flight(),
                 self.cfg.window
             ));
-        }
-
-        // Sender loss list entirely within the live span [snd_una, next_new).
-        for r in self.snd_loss.ranges() {
-            if self.snd_una.offset_to(r.from) < 0 || self.snd_una.offset_to(r.to) >= self.in_flight()
-            {
-                return Err(format!(
-                    "snd loss range {}..={} outside live span [{}, {})",
-                    r.from, r.to, self.snd_una, self.next_new
-                ));
-            }
-        }
-
-        // Receiver loss list within (base, lrsn).
-        for r in self.rcv_loss.ranges() {
-            let base = self.rcv_buffer.base_seq();
-            if base.offset_to(r.from) < 0 || !r.to.lt_seq(self.lrsn) {
-                return Err(format!(
-                    "rcv loss range {}..={} outside ({}, {})",
-                    r.from, r.to, base, self.lrsn
-                ));
-            }
         }
 
         // No byte delivered twice, dropped, or out of order: the delivered
@@ -519,19 +553,22 @@ impl Model {
         Ok(())
     }
 
-    /// Canonical 64-bit fingerprint for the transposition table. The
-    /// network is hashed as a sorted bag so permutations of the in-flight
-    /// vector (which enable identical futures) collapse.
+    /// Canonical 64-bit fingerprint for the transposition table: everything
+    /// that decides which packets the cores will emit, and nothing that only
+    /// decides when. The network is hashed as a sorted bag so permutations
+    /// of the in-flight vector (which enable identical futures) collapse.
     pub fn fingerprint(&self) -> u64 {
         let mut h = std::collections::hash_map::DefaultHasher::new();
-        self.snd_una.raw().hash(&mut h);
-        self.next_new.raw().hash(&mut h);
-        for r in self.snd_loss.ranges() {
+        self.snd.snd_una().raw().hash(&mut h);
+        self.snd.in_flight().hash(&mut h);
+        self.snd.peer_window().hash(&mut h);
+        for r in self.snd.loss_ranges() {
             (r.from.raw(), r.to.raw()).hash(&mut h);
         }
-        self.lrsn.raw().hash(&mut h);
-        self.last_ack_sent.raw().hash(&mut h);
-        for r in self.rcv_loss.ranges() {
+        self.rcv.lrsn().raw().hash(&mut h);
+        let (sent, acked) = self.rcv.ack_state();
+        (sent.raw(), acked.raw()).hash(&mut h);
+        for r in self.rcv.loss_ranges() {
             (r.from.raw(), r.to.raw()).hash(&mut h);
         }
         self.delivered.len().hash(&mut h);
@@ -541,18 +578,6 @@ impl Model {
         self.drops_used.hash(&mut h);
         self.dups_used.hash(&mut h);
         h.finish()
-    }
-
-    /// Ranges currently queued for retransmission (test introspection).
-    #[cfg(test)]
-    pub fn snd_loss_ranges(&self) -> Vec<SeqRange> {
-        self.snd_loss.ranges()
-    }
-
-    /// Receiver loss ranges (test introspection).
-    #[cfg(test)]
-    pub fn rcv_loss_ranges(&self) -> Vec<SeqRange> {
-        self.rcv_loss.ranges()
     }
 
     /// In-flight packet descriptions (test introspection / replay).
@@ -583,12 +608,12 @@ mod tests {
         let mut m = Model::new(cfg(4, 0));
         while !m.complete() {
             let acts = m.enabled();
-            // Deterministic schedule: prefer Deliver, then AckEmit, then
+            // Deterministic schedule: prefer Deliver, then AckTimer, then
             // Transmit — a lossless in-order network.
             let a = acts
                 .iter()
                 .find(|a| matches!(a, Action::Deliver(0)))
-                .or_else(|| acts.iter().find(|a| matches!(a, Action::AckEmit)))
+                .or_else(|| acts.iter().find(|a| matches!(a, Action::AckTimer)))
                 .or_else(|| acts.iter().find(|a| matches!(a, Action::Transmit)))
                 .copied()
                 .expect("transfer must not get stuck");
@@ -607,7 +632,7 @@ mod tests {
             let a = acts
                 .iter()
                 .find(|a| matches!(a, Action::Deliver(0)))
-                .or_else(|| acts.iter().find(|a| matches!(a, Action::AckEmit)))
+                .or_else(|| acts.iter().find(|a| matches!(a, Action::AckTimer)))
                 .or_else(|| acts.iter().find(|a| matches!(a, Action::Transmit)))
                 .copied()
                 .expect("transfer must not get stuck");
@@ -615,7 +640,7 @@ mod tests {
             m.check().expect("invariants");
         }
         assert_eq!(m.delivered_bytes(), 6 * PAYLOAD);
-        assert!(m.snd_una.raw() < 16, "snd_una wrapped past zero");
+        assert!(m.snd.snd_una().raw() < 16, "snd_una wrapped past zero");
     }
 
     /// A dropped packet is NAKed on gap detection and retransmitted.
@@ -627,13 +652,75 @@ mod tests {
         m.step(Action::Drop(0)); // destroy DATA 0
         m.step(Action::Deliver(0)); // DATA 1 arrives -> gap -> NAK 0..=0
         assert_eq!(m.net_contents(), vec!["NAK 0..=0".to_string()]);
-        assert_eq!(m.rcv_loss_ranges(), vec![SeqRange::single(SeqNo::ZERO)]);
+        assert_eq!(m.rcv.loss_ranges(), vec![SeqRange::single(SeqNo::ZERO)]);
         m.step(Action::Deliver(0)); // NAK arrives -> 0 queued for retx
-        assert_eq!(m.snd_loss_ranges(), vec![SeqRange::single(SeqNo::ZERO)]);
+        assert_eq!(m.snd.loss_ranges(), vec![SeqRange::single(SeqNo::ZERO)]);
         m.step(Action::Transmit); // retransmit 0
         m.step(Action::Deliver(0));
         m.check().expect("invariants");
         assert_eq!(m.delivered_bytes(), 2 * PAYLOAD);
+    }
+
+    /// Run `trace` (seed syntax), checking each action is enabled where it
+    /// stands and every invariant after it.
+    fn run(m: &mut Model, trace: &str) {
+        for a in trace.split(',') {
+            let a = Action::decode(a).expect("well-formed action");
+            assert!(
+                m.enabled().contains(&a),
+                "{a:?} not enabled; net {:?}",
+                m.net_contents()
+            );
+            m.step(a);
+            m.check().expect("invariants");
+        }
+    }
+
+    /// A lost tail shows the receiver no gap: once its ACK is confirmed it
+    /// goes quiet, and only the sender's timer can repair the transfer.
+    #[test]
+    fn a_dropped_tail_packet_is_repaired_by_the_senders_timer() {
+        let mut m = Model::new(cfg(2, 0));
+        run(&mut m, "T,T,X1,D0,A,D0,D0"); // DATA 1 lost; ACK 1, ACK2
+        assert_eq!(m.enabled(), vec![Action::SndTimer], "receiver is quiet");
+        run(&mut m, "E");
+        assert_eq!(m.snd.loss_ranges(), vec![SeqRange::single(SeqNo::new(1))]);
+        run(&mut m, "T,D0,A,D0,D0");
+        assert!(m.complete());
+    }
+
+    /// A lost final ACK is repeated (the sender, unacknowledged, may also
+    /// retransmit); the exchange ends with the ACK2.
+    #[test]
+    fn a_dropped_final_ack_is_repeated_until_confirmed() {
+        let mut m = Model::new(cfg(1, 0));
+        run(&mut m, "T,D0,A,X0");
+        assert_eq!(m.enabled(), vec![Action::AckTimer, Action::SndTimer]);
+        run(&mut m, "A");
+        assert_eq!(m.net_contents(), vec!["ACK 1".to_string()]);
+        run(&mut m, "D0,D0");
+        assert!(m.complete());
+        assert!(
+            m.enabled().iter().all(|a| *a != Action::AckTimer),
+            "confirmed: quiet"
+        );
+    }
+
+    /// A lost ACK2 leaves the receiver unconfirmed: it repeats its ACK, the
+    /// sender answers again, and only then does the receiver go quiet.
+    #[test]
+    fn a_dropped_ack2_is_answered_again() {
+        let mut m = Model::new(cfg(1, 0));
+        run(&mut m, "T,D0,A,D0,X0");
+        assert!(
+            !m.complete(),
+            "acknowledged, but the receiver does not know it"
+        );
+        assert_eq!(m.enabled(), vec![Action::AckTimer]);
+        run(&mut m, "A,D0");
+        assert_eq!(m.net_contents(), vec!["ACK2 for ACK 1".to_string()]);
+        run(&mut m, "D0");
+        assert!(m.complete());
     }
 
     #[test]
@@ -651,8 +738,8 @@ mod tests {
             Action::Deliver(3),
             Action::Drop(0),
             Action::Dup(12),
-            Action::AckEmit,
-            Action::ExpRequeue,
+            Action::AckTimer,
+            Action::SndTimer,
         ] {
             assert_eq!(Action::decode(&a.encode()), Some(a));
         }

@@ -210,7 +210,7 @@ mod tests {
             &[
                 crate::model::Action::Transmit,
                 crate::model::Action::Deliver(0),
-                crate::model::Action::AckEmit,
+                crate::model::Action::AckTimer,
             ],
         );
         let (back, trace) = decode_seed(&seed).expect("decodes");

@@ -249,7 +249,7 @@ impl Monitor {
                 a.cwnd.map_or_else(|| "-".into(), |c| format!("{c:.0}")),
                 a.bw_pps.map_or_else(|| "-".into(), |b| format!("{b:.0}")),
                 a.state.unwrap_or("-"),
-                a.last_t_ns as f64 / 1e9, // udt-lint: allow(as-cast) — display maths
+                a.last_t_ns as f64 / 1e9,
             ));
             if a.auth_fail + a.auth_replay + a.auth_reject > 0 {
                 s.push_str(&format!(
@@ -262,7 +262,7 @@ impl Monitor {
                     "  └ batch: {} deliveries, {} pkts, {:.1} avg pkts/batch\n",
                     a.batches,
                     a.batch_pkts,
-                    a.batch_pkts as f64 / a.batches as f64, // udt-lint: allow(as-cast) — display maths
+                    a.batch_pkts as f64 / a.batches as f64,
                 ));
             }
             if let Some(row) = pct.get(conn) {
@@ -273,9 +273,9 @@ impl Monitor {
                     "  └ path {pid:<3} sent {:>7} ({:>8.2} MB)  recvd {:>7} ({:>8.2} MB)  \
                      requeued {:>5}  up/down {}/{}  bw {:>8}  rtt {:>7}  loss {:>6}  last {:>7.2}\n",
                     p.chunks_sent,
-                    p.bytes_sent as f64 / 1e6, // udt-lint: allow(as-cast) — display maths
+                    p.bytes_sent as f64 / 1e6,
                     p.chunks_recvd,
-                    p.bytes_recvd as f64 / 1e6, // udt-lint: allow(as-cast) — display maths
+                    p.bytes_recvd as f64 / 1e6,
                     p.lost,
                     p.ups,
                     p.downs,
@@ -285,7 +285,7 @@ impl Monitor {
                         .map_or_else(|| "-".into(), |r| format!("{:.2}ms", r / 1e3)),
                     p.loss_pct
                         .map_or_else(|| "-".into(), |l| format!("{l:.2}%")),
-                    p.last_t_ns as f64 / 1e9, // udt-lint: allow(as-cast) — display maths
+                    p.last_t_ns as f64 / 1e9,
                 ));
             }
         }
@@ -308,9 +308,9 @@ fn render_pct_row(row: &PctRow) -> String {
         |(n, p50, p99, p999)| {
             format!(
                 "rtt p50 {:.2}ms p99 {:.2}ms p999 {:.2}ms (n={n})",
-                p50 as f64 / 1e3,  // udt-lint: allow(as-cast) — display maths
-                p99 as f64 / 1e3,  // udt-lint: allow(as-cast) — display maths
-                p999 as f64 / 1e3, // udt-lint: allow(as-cast) — display maths
+                p50 as f64 / 1e3,
+                p99 as f64 / 1e3,
+                p999 as f64 / 1e3,
             )
         },
     );

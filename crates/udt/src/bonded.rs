@@ -84,7 +84,6 @@ impl PathStream for UdtPathStream {
         let sent = p.pkts_sent.max(1);
         if let Some(h) = &self.1 {
             if p.rtt_us > 0.0 {
-                // udt-lint: allow(as-cast) — positive µs magnitude
                 #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
                 h.record(p.rtt_us as u64);
             }

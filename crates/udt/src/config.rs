@@ -218,8 +218,8 @@ impl Default for UdtConfig {
             handshake_retry: Duration::from_millis(100),
             linger: Duration::from_secs(10),
             timer_spin: Duration::from_micros(200),
-            max_exp_count: 16,
-            broken_silence_floor: Duration::from_secs(10),
+            max_exp_count: udt_algo::timerctl::MAX_EXP_COUNT,
+            broken_silence_floor: udt_algo::timerctl::BROKEN_SILENCE_FLOOR.into(),
             force_init_seq: None,
             accept_backlog: 64,
             handshake_rate_limit: 64,

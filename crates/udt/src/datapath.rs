@@ -144,7 +144,6 @@ pub fn run_pump(spec: &PumpSpec) -> io::Result<PumpOut> {
     let (delivered, span) = drain
         .join()
         .map_err(|_| io::Error::other("pump drain thread panicked"))?;
-    // udt-lint: allow(as-cast) — display/rate maths on counts
     let msgs_per_s = delivered as f64 / span.as_secs_f64().max(1e-6);
     Ok(PumpOut {
         delivered,

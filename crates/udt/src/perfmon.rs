@@ -92,20 +92,17 @@ impl UdtConnection {
     pub fn perfmon(&self) -> PerfSnapshot {
         let sh = &self.sh;
         let (rtt_us, period, cwnd, peer_win, bw, rr) = {
-            let s = sh.snd.lock();
+            let s = &sh.snd.lock().core;
             (
-                s.rtt.rtt_us(),
-                s.cc.pkt_snd_period_us(),
-                s.cc.cwnd(),
-                s.peer_window,
-                s.bandwidth_pps,
-                s.recv_rate_pps,
+                s.rtt_us(),
+                s.pkt_snd_period_us(),
+                s.cwnd(),
+                s.peer_window(),
+                s.bandwidth_pps(),
+                s.recv_rate_pps(),
             )
         };
-        let loss_events = {
-            let r = sh.rcv.lock();
-            r.loss_events.len() as u64
-        };
+        let loss_events = sh.rcv.lock().core.loss_events().len() as u64;
         let st = &sh.stats;
         PerfSnapshot {
             conn_id: sh.local_id,

@@ -234,7 +234,6 @@ impl ResilientSession {
     /// Emit a session-level trace event, tagged with the (folded) session
     /// token since the session outlives any one connection id.
     fn trace(&self, kind: EventKind) {
-        // udt-lint: allow(as-cast) — token folded into the 32-bit conn tag
         self.cfg
             .tracer
             .emit((self.token ^ (self.token >> 32)) as u32, kind);

@@ -40,6 +40,31 @@ fn packet_conservation_under_congestion() {
 }
 
 #[test]
+fn survives_tiny_queue_congestion_loss_in_sim() {
+    // The deterministic twin of `integration_lossy`'s real-UDP test of the
+    // same name, through the same protocol core: 2 MB (1370 packets) over
+    // 30 Mb/s, 20 ms RTT and a 20-packet DropTail buffer, where the
+    // protocol's own probing causes burst loss (the Figure 8 regime).
+    let mut d = dumbbell(DumbbellCfg {
+        flows: 1,
+        rate_bps: 30e6,
+        one_way_delay: Nanos::from_millis(10),
+        queue_cap: 20,
+    });
+    let f = d.sim.add_flow();
+    let total = 1_370u64;
+    let mut cfg = UdtSenderCfg::bulk(d.sinks[0], f);
+    cfg.total_pkts = Some(total);
+    let (sid, rid) = attach_udt_flow(&mut d.sim, d.sources[0], d.sinks[0], cfg);
+    d.sim.run_until(Nanos::from_secs(30));
+    let snd = d.sim.agent_as::<UdtSender>(sid);
+    assert!(snd.transfer_complete(), "transfer did not complete");
+    assert_eq!(d.sim.delivered(f), total * 1500, "data lost or repeated");
+    assert_eq!(d.sim.agent_as::<UdtReceiver>(rid).received_pkts(), total);
+    assert!(snd.sent_retx() > 0, "queue loss must have caused retransmissions");
+}
+
+#[test]
 fn udt_sequence_wraparound_in_sim() {
     // Start the flow just below the 2^31 wrap point and push through it.
     let mut d = dumbbell(DumbbellCfg {
