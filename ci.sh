@@ -4,7 +4,7 @@
 #
 #   ./ci.sh            — the full deterministic gate below
 #   ./ci.sh --sanitize — sanitizer battery over the threaded datapath /
-#                        pool / chaos test subset: AddressSanitizer,
+#                        pool / relay test subset: AddressSanitizer,
 #                        ThreadSanitizer (instrumented std), and Miri on
 #                        the pool/buffer/seqno units. Each leg prints a
 #                        visible SKIP when its toolchain prerequisite
@@ -21,21 +21,21 @@ if [[ "${1:-}" == "--sanitize" ]]; then
 
   # ASan works against the precompiled std (it changes no ABI): the
   # whole threaded subset runs instrumented.
-  echo "sanitize: AddressSanitizer (udt pool/mmsg/mux + udt-chaos)"
+  echo "sanitize: AddressSanitizer (udt pool/mmsg/mux + udt-chaos + the linkemu relay)"
   RUSTFLAGS="-Zsanitizer=address" CARGO_TARGET_DIR=target/san-asan \
     cargo +nightly test -q -p udt --lib -- pool:: mmsg:: mux::
   RUSTFLAGS="-Zsanitizer=address" CARGO_TARGET_DIR=target/san-asan \
-    cargo +nightly test -q -p udt-chaos --lib
+    cargo +nightly test -q -p udt-chaos -p linkemu --lib
 
   # TSan needs every crate (std included) instrumented, or it reports
   # false races inside uninstrumented sync primitives — hence -Zbuild-std,
   # which requires the rust-src component.
   if rustup component list --toolchain nightly --installed 2>/dev/null | grep -q rust-src; then
-    echo "sanitize: ThreadSanitizer (udt pool/mmsg/mux + udt-chaos, -Zbuild-std)"
+    echo "sanitize: ThreadSanitizer (udt pool/mmsg/mux + the linkemu relay, -Zbuild-std)"
     RUSTFLAGS="-Zsanitizer=thread" CARGO_TARGET_DIR=target/san-tsan \
       cargo +nightly test -q -Zbuild-std --target "$host" -p udt --lib -- pool:: mmsg:: mux::
     RUSTFLAGS="-Zsanitizer=thread" CARGO_TARGET_DIR=target/san-tsan \
-      cargo +nightly test -q -Zbuild-std --target "$host" -p udt-chaos --lib
+      cargo +nightly test -q -Zbuild-std --target "$host" -p linkemu --lib
   else
     echo "sanitize: SKIP ThreadSanitizer (rust-src not installed; TSan needs an instrumented std)"
   fi
@@ -72,60 +72,59 @@ cargo run --release -p udt-lint
 # print a replayable seed).
 timeout 120 cargo run --release -p udt-verify -- --quick
 
+# Every experiment leg below is the one harness binary: `bench exp <id>`
+# over bench::experiments::TABLE. A leg exits non-zero when a gating SHAPE
+# check fails.
+bench=./target/release/bench
+
 # Simulator leg: the netsim experiments whose shape checks all hold, through
 # the same event core (Figs 3, 5-8, the ablations, the multi-bottleneck
-# topology; ~2 min). Any SHAPE [FAIL] exits non-zero. Not here: fig2 and fig4
-# each carry one check that does not hold (EXPERIMENTS.md says which), and
-# cmp_protocols takes two minutes alone. The report goes to a temp file.
-netsim_report="$(mktemp)"
-timeout 600 ./target/release/exp_all "$netsim_report" \
+# topology; ~2 min). Not here: fig2 and fig4 each carry one check that does
+# not hold (EXPERIMENTS.md says which), and cmp_protocols takes two minutes
+# alone.
+timeout 600 "$bench" exp \
   fig3 fig5 fig6 fig7 fig8 abl_syn abl_bwe abl_naks abl_sabul abl_pacing multibottleneck
-rm -f "$netsim_report"
 
 # Resilience soak, CI-sized: a real-socket upload through a flapping link
 # must reconnect, resume and land byte-identical (time-boxed; the full
-# soak is `exp_soak` without --quick).
-timeout 120 ./target/release/exp_soak --quick
+# soak is `bench exp soak` without --quick).
+timeout 120 "$bench" exp soak --quick
 
-# Observability gates: a seeded chaos blackout must leave a parseable
-# flight-recorder dump with faults and NAK/EXP/Broken reactions on one
-# timeline, and enabled tracing must stay within 5% of untraced loopback
-# goodput (most-favorable interleaved pair; see exp_trace_overhead docs).
-timeout 120 ./target/release/exp_flightrec
-timeout 180 ./target/release/exp_trace_overhead --quick
+# Flight recorder: a seeded chaos blackout must leave a parseable dump with
+# faults and NAK/EXP/Broken reactions on one timeline.
+timeout 120 "$bench" exp flightrec
 
 # Multipath bonding, CI-sized: bonded goodput on asymmetric simulated links
 # must strictly beat the best single path (and reproduce under the same
 # seed), and a seeded linkemu blackout must fail over with zero
 # session-level reconnects and less receiver stall than the
 # reconnect-resume baseline. Emits BENCH_multipath.json.
-timeout 300 ./target/release/exp_multipath --quick
+timeout 300 "$bench" exp multipath --quick
 
-# Authenticated profile, CI-sized: a seeded on-path adversary (forged
-# DATA/ACK/Shutdown, replays, tag bit flips) must bounce off an
-# authenticated session — byte-identical delivery, every forgery counted —
-# and the per-packet SipHash trailer must stay within 10% of untagged
-# loopback goodput. Emits BENCH_auth.json.
-timeout 300 ./target/release/exp_auth --quick
+# Batched datapath, CI-sized: the median raw-pump msgs/s over interleaved
+# pairs must be 2x the legacy per-packet datapath (gate auto-skips where
+# recvmmsg/sendmmsg are unavailable — the fallback *is* the per-packet
+# path), the receive pool must recycle (hits > misses), and the tbl3-style
+# UDP-syscall CPU share must shrink with batching on. Emits
+# BENCH_datapath.json.
+timeout 300 "$bench" exp datapath --quick
 
-# Batched datapath, CI-sized: raw pump msgs/s must hit 2x the legacy
-# per-packet datapath (gate auto-skips where recvmmsg/sendmmsg are
-# unavailable — the fallback *is* the per-packet path), the receive pool
-# must recycle (hits > misses), and the exp_tbl3-style UDP-syscall CPU
-# share must shrink with batching on. Emits BENCH_datapath.json.
-timeout 300 ./target/release/exp_datapath --quick
-
-# Metrics overhead, CI-sized: the udt-obs registry + profiler + scrape
-# endpoint must stay within 5% of metrics-off loopback goodput
-# (most-favorable interleaved pair, same methodology as
-# exp_trace_overhead), and the hub must actually have metered the blast.
-timeout 180 ./target/release/exp_metrics_overhead --quick
+# Overhead legs, CI-sized. Each gates here only on what is not a noisy
+# number: auth on its security checks (a seeded on-path adversary — forged
+# DATA/ACK/Shutdown, replays, tag bit flips — must leave the stream
+# byte-identical with every forgery counted), tracing and metrics on having
+# actually observed the blast. The goodput cost of each (median of
+# interleaved pairs, alternating order: bench::ab) is written to
+# BENCH_{auth,trace_overhead,metrics_overhead}.json and has exactly one
+# gate: its `bench regress` row below. The design bounds (10 % / 5 % / 5 %)
+# are printed as holding or not; EXPERIMENTS.md records which.
+timeout 300 "$bench" exp auth trace_overhead metrics_overhead --quick
 
 # Perf-regression gate: compare the BENCH_*.json artifacts the experiment
 # legs above just wrote against the committed baselines in
 # crates/bench/baselines/ (noise-tolerant, data-driven gate set — see
 # bench::regress). Fails CI on a regression beyond tolerance.
-./target/release/bench regress --quick
+"$bench" regress --quick
 
 # The repository benchmark (benchmark/) is a stand-alone package outside
 # this workspace, so nothing above compiles it: a changed `pub` item or
@@ -137,5 +136,5 @@ bash benchmark/run.sh --smoke --trace 0
 # One release-codegen pass with the runtime invariant hooks compiled in
 # (conn/buffer/losslist check_invariants fire on the live data path).
 # Kept last: the different RUSTFLAGS rebuild replaces target/release
-# binaries, so exp_soak above must run first.
+# binaries, so the experiment legs above must run first.
 RUSTFLAGS="-C debug-assertions" cargo test --release -q

@@ -1,6 +1,6 @@
 //! End-to-end throughput of the real socket implementation over loopback
 //! (small transfers, statistically sampled — the big blasts live in
-//! `exp_fig14`).
+//! `bench exp fig14`).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use udt::{UdtConfig, UdtConnection, UdtListener};

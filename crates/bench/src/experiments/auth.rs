@@ -1,29 +1,26 @@
 //! UDT-AUTH audit: adversary rejection plus the goodput cost of the tag.
 //!
-//! Two gates. First, a seeded on-path adversary (forged DATA/ACKs,
-//! capture-and-replay, tag bit flips, one spoofed Shutdown) is aimed at an
-//! authenticated loopback transfer through the chaos relay: the stream
-//! must arrive byte-identical with every forgery and replay rejected and
-//! counted. Second, the per-packet SipHash trailer must cost under 10% of
-//! loopback goodput — measured like `trace_overhead`, in interleaved
-//! off/on pairs with the most favorable pair gated (loopback noise only
-//! ever widens an observed delta, so the smallest delta across pairs is
-//! an upper bound on the intrinsic cost).
+//! Two parts. First, the gate: a seeded on-path adversary (forged
+//! DATA/ACKs, capture-and-replay, tag bit flips, one spoofed Shutdown) is
+//! aimed at an authenticated loopback transfer through the fault-injecting
+//! relay, and the stream must arrive byte-identical with every forgery and
+//! replay rejected and counted. Second, the measurement: what the
+//! per-packet SipHash trailer costs in loopback goodput, by
+//! [`crate::ab::goodput_loss`] — the 10% design bound is recorded against
+//! the median of pairs, and the number's CI gate is its `bench regress`
+//! row.
 
 use std::time::Duration;
 
-use udt::{AuthPolicy, PreSharedKey, UdtConfig, UdtConnection, UdtListener};
-use udt_chaos::relay::ChaosRelay;
+use udt::{AuthPolicy, PreSharedKey, UdtConfig};
 use udt_chaos::scenario::{ImpairmentSpec, Scenario};
 
-use crate::perfjson::{self, Obj, Val};
-use crate::realnet::run_loopback_blast;
-use crate::report::{mbps, Report};
+use crate::ab;
+use crate::perfjson;
+use crate::realnet::{pattern, run_loopback_blast, transfer_through};
+use crate::report::Report;
 
-/// Interleaved off/on pairs; the most favorable is gated.
-const PAIRS: usize = 3;
-
-/// Maximum tolerated goodput loss with authentication enabled.
+/// Design bound on the goodput loss with authentication enabled.
 const MAX_ENABLED_LOSS: f64 = 0.10;
 
 /// Adversary master seed (fixed: the whole run must be reproducible).
@@ -37,19 +34,8 @@ fn keyed() -> UdtConfig {
     }
 }
 
-// Test-pattern maths uses deliberate truncating casts.
-#[allow(clippy::cast_possible_truncation)]
-fn pattern(len: usize) -> Vec<u8> {
-    (0..len)
-        .map(|i| {
-            let x = (i as u32).wrapping_mul(0x9E37_79B9) >> 9;
-            (x & 0xFF) as u8
-        })
-        .collect()
-}
-
-/// One authenticated transfer through a chaos relay running the seeded
-/// adversary. Returns `(byte_identical, tags_bad, replays)`.
+/// One authenticated transfer through the fault-injecting relay running
+/// the seeded adversary. Returns `(byte_identical, tags_bad, replays)`.
 fn adversarial_run(bytes: usize) -> (bool, u64, u64) {
     let scenario = Scenario::new("bench-adversary", SEED).forward(ImpairmentSpec::Adversary {
         forge_data: 0.03,
@@ -62,46 +48,27 @@ fn adversarial_run(bytes: usize) -> (bool, u64, u64) {
         linger: Duration::from_secs(30),
         ..keyed()
     };
-    let listener = UdtListener::bind("127.0.0.1:0".parse().unwrap(), cfg.clone())
-        .expect("bind auth listener");
-    let relay = ChaosRelay::start(&scenario, listener.local_addr()).expect("start relay");
-    let server = std::thread::spawn(move || {
-        let conn = listener.accept().expect("accept");
-        let mut buf = vec![0u8; 1 << 16];
-        let mut out = Vec::with_capacity(bytes);
-        loop {
-            match conn.recv(&mut buf) {
-                Ok(0) | Err(_) => break,
-                Ok(n) => out.extend_from_slice(&buf[..n]),
-            }
-        }
-        let (bad, replays) = conn
-            .auth_counters()
-            .map_or((0, 0), |c| (c.tags_bad, c.replays));
-        (out, bad, replays)
-    });
-    let conn = UdtConnection::connect(relay.client_addr(), cfg).expect("connect");
-    let data = pattern(bytes);
-    conn.send(&data).expect("send under adversary");
-    let _ = conn.close();
-    let (got, bad, replays) = server.join().expect("server thread");
-    relay.shutdown();
+    let data = pattern(bytes, 0);
+    let (got, auth) = transfer_through(&scenario, &cfg, &data);
+    let (bad, replays) = auth.map_or((0, 0), |c| (c.tags_bad, c.replays));
     (got == data, bad, replays)
 }
 
-/// Run with a configurable transfer size per blast.
-pub fn run_with(total_bytes: u64, quick: bool) -> Report {
+/// Run; `quick` is the CI-sized variant (60 MB blasts instead of 150 MB).
+pub fn run(quick: bool) -> Report {
+    let total_bytes: u64 = if quick { 60_000_000 } else { 150_000_000 };
     let mut rep = Report::new(
         "auth",
         "Adversary rejection and goodput cost of the authenticated profile",
         format!(
-            "seeded adversary vs authenticated relay transfer; then {PAIRS} interleaved \
+            "seeded adversary vs authenticated relay transfer; then {} interleaved \
              pairs of {} MB loopback blasts, auth off vs SipHash trailer on",
+            ab::PAIRS,
             total_bytes / 1_000_000
         ),
     );
 
-    // Gate 1: the adversary bounces off.
+    // The gate: the adversary bounces off.
     let adv_bytes = (total_bytes / 8).clamp(2_000_000, 16_000_000) as usize;
     let (identical, tags_bad, replays) = adversarial_run(adv_bytes);
     rep.row(format!(
@@ -119,55 +86,19 @@ pub fn run_with(total_bytes: u64, quick: bool) -> Report {
         format!("tags_bad {tags_bad}, replays {replays}"),
     );
 
-    // Gate 2: the tag is cheap. Warm the stack off the books first.
-    let _ = run_loopback_blast(UdtConfig::default(), total_bytes / 4);
-    let mut best_delta = f64::INFINITY;
-    let mut pairs_json = Vec::new();
-    for i in 0..PAIRS {
-        let off = run_loopback_blast(UdtConfig::default(), total_bytes);
-        let on = run_loopback_blast(keyed(), total_bytes);
-        let delta = 1.0 - on.throughput_bps() / off.throughput_bps().max(1e-9);
-        best_delta = best_delta.min(delta);
-        rep.row(format!(
-            "pair {i}: off {} Mb/s, on {} Mb/s, delta {:+.2}%",
-            mbps(off.throughput_bps()),
-            mbps(on.throughput_bps()),
-            delta * 100.0
-        ));
-        pairs_json.push(Val::O(
-            Obj::new()
-                .num("off_mbps", off.throughput_bps() / 1e6)
-                .num("on_mbps", on.throughput_bps() / 1e6)
-                .num("delta", delta),
-        ));
-    }
-    rep.row(format!("best-pair delta: {:+.2}%", best_delta * 100.0));
-    rep.shape(
-        "enabled auth costs under 10% goodput (most favorable pair)",
-        best_delta < MAX_ENABLED_LOSS,
-        format!(
-            "best delta {:+.2}% (bound {:.0}%)",
-            best_delta * 100.0,
-            MAX_ENABLED_LOSS * 100.0
-        ),
+    // The measurement: what the tag costs.
+    let json = ab::goodput_loss(
+        &mut rep,
+        "enabled auth costs under 10% goodput (median of pairs)",
+        MAX_ENABLED_LOSS,
+        total_bytes,
+        || run_loopback_blast(keyed(), total_bytes).throughput_bps(),
     );
-
-    let json = Obj::new()
+    let json = json
         .int("seed", SEED)
         .flag("adversary_byte_identical", identical)
         .int("adversary_tags_bad", tags_bad)
-        .int("adversary_replays", replays)
-        .arr("overhead_pairs", pairs_json)
-        .num("best_delta", best_delta)
-        .num("bound", MAX_ENABLED_LOSS);
-    match perfjson::write_bench_v2("auth", quick, json) {
-        Ok(p) => rep.row(format!("wrote {}", p.display())),
-        Err(e) => rep.row(format!("BENCH_auth.json not written: {e}")),
-    }
+        .int("adversary_replays", replays);
+    perfjson::emit(&mut rep, "auth", quick, json);
     rep
-}
-
-/// Default entry point.
-pub fn run() -> Report {
-    run_with(150_000_000, false)
 }

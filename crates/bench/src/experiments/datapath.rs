@@ -9,30 +9,29 @@
 //! Part 1 drives the raw datapath pump ([`udt::datapath::run_pump`]) in
 //! interleaved pairs — the legacy datapath (batch 1 *and* OS-default UDP
 //! socket buffers, exactly what the pre-batching code ran) against the
-//! batched defaults — and gates the most favorable speedup at 2×.
-//! Part 2 runs full-protocol loopback blasts (`exp_tbl3` methodology)
+//! batched defaults — and gates the median speedup at 2×.
+//! Part 2 runs full-protocol loopback blasts (`tbl3` methodology)
 //! with batching off and on, comparing the instrumented "UDP writing" +
 //! "UDP reading" CPU shares.
 //!
-//! Loopback throughput on a shared host is noisy, so both gates use the
-//! most-favorable-pair rule from `exp_trace_overhead`: noise only ever
-//! shrinks an observed win, so the best pair bounds the intrinsic effect,
-//! while a real regression would depress every pair and still trip the
-//! gate. When the multi-message syscalls are unavailable (non-Linux, or
-//! an `ENOSYS` downgrade), the speedup gate is recorded but skipped — the
-//! fallback intentionally reproduces per-packet behavior.
+//! Both comparisons go through [`crate::ab::compare`]: alternating order,
+//! every pair printed, the median of pairs judged. When the multi-message
+//! syscalls are unavailable (non-Linux, or an `ENOSYS` downgrade), the
+//! speedup gate is recorded but skipped — the fallback intentionally
+//! reproduces per-packet behavior.
 
-use udt::datapath::{run_pump, PumpSpec};
+use std::io;
+
+use udt::datapath::{run_pump, PumpOut, PumpSpec};
 use udt::UdtConfig;
+use udt_trace::json::Value;
 
-use crate::perfjson::{self, Obj, Val};
+use crate::ab::{self, PAIRS};
+use crate::perfjson::{self, Obj};
 use crate::realnet::run_loopback_blast;
 use crate::report::{mbps, Report};
 
-/// Interleaved legacy/batched pairs; the most favorable is gated.
-const PAIRS: usize = 3;
-
-/// Required most-favorable msgs/s multiple of batched over per-packet.
+/// Required median msgs/s multiple of batched over per-packet.
 const MIN_SPEEDUP: f64 = 2.0;
 
 /// A per-packet config: batch sizes of 1 plus OS-default UDP socket
@@ -55,9 +54,14 @@ fn udp_share(out: &crate::realnet::TransferOut) -> f64 {
     out.snd_instr.ratio_of("UDP writing") + out.rcv_instr.ratio_of("UDP reading")
 }
 
-/// Run with configurable sizes: `pump_pkts` packets per pump run and
-/// `blast_bytes` per full-protocol blast.
-pub fn run_with(pump_pkts: u32, blast_bytes: u64, quick: bool) -> Report {
+/// Run; `quick` is the CI-sized variant (fewer pump packets, smaller
+/// blasts).
+pub fn run(quick: bool) -> Report {
+    let (pump_pkts, blast_bytes): (u32, u64) = if quick {
+        (60_000, 60_000_000)
+    } else {
+        (200_000, 150_000_000)
+    };
     let mut rep = Report::new(
         "datapath",
         "Batched datapath: msgs/s and UDP-syscall CPU share",
@@ -76,59 +80,66 @@ pub fn run_with(pump_pkts: u32, blast_bytes: u64, quick: bool) -> Report {
         ..PumpSpec::default()
     });
 
-    let mut best_speedup: f64 = 0.0;
-    let mut best_legacy = 0.0_f64;
-    let mut best_batched = 0.0_f64;
-    let mut batched_io = false;
-    let mut pool_hits = 0u64;
-    let mut pool_misses = 0u64;
-    for i in 0..PAIRS {
-        let legacy = match run_pump(&PumpSpec {
+    let pump = |spec: PumpSpec| move || run_pump(&spec);
+    let pumps = ab::compare(
+        PAIRS,
+        pump(PumpSpec {
             pkts: pump_pkts,
             batch: 1,
             os_udp_bufs: true,
             ..PumpSpec::default()
-        }) {
-            Ok(o) => o,
-            Err(e) => {
-                rep.shape("datapath pump runs", false, format!("pump failed: {e}"));
-                return rep;
-            }
-        };
-        let batched = match run_pump(&PumpSpec {
+        }),
+        pump(PumpSpec {
             pkts: pump_pkts,
             ..PumpSpec::default()
-        }) {
-            Ok(o) => o,
-            Err(e) => {
-                rep.shape("datapath pump runs", false, format!("pump failed: {e}"));
-                return rep;
-            }
-        };
-        batched_io = batched.batched_io;
-        pool_hits = pool_hits.max(batched.rcv.pool_hits);
-        pool_misses = pool_misses.max(batched.rcv.pool_misses);
-        let speedup = batched.msgs_per_s / legacy.msgs_per_s.max(1.0);
-        if speedup > best_speedup {
-            best_speedup = speedup;
-            best_legacy = legacy.msgs_per_s;
-            best_batched = batched.msgs_per_s;
-        }
+        }),
+    );
+    if let Some(e) = pumps
+        .iter()
+        .find_map(|p| p.a.as_ref().err().or(p.b.as_ref().err()))
+    {
+        rep.shape("datapath pump runs", false, format!("pump failed: {e}"));
+        return rep;
+    }
+    let rate = |r: &io::Result<PumpOut>| r.as_ref().map_or(0.0, |o| o.msgs_per_s);
+    let delivered = |r: &io::Result<PumpOut>| r.as_ref().map_or(0, |o| o.delivered);
+    for (i, p) in pumps.iter().enumerate() {
         rep.row(format!(
             "pump pair {i}: per-packet {:.0} msgs/s ({} delivered), batched {:.0} msgs/s ({} delivered), speedup {:.2}x",
-            legacy.msgs_per_s, legacy.delivered, batched.msgs_per_s, batched.delivered, speedup
+            rate(&p.a),
+            delivered(&p.a),
+            rate(&p.b),
+            delivered(&p.b),
+            rate(&p.b) / rate(&p.a).max(1.0)
         ));
     }
+    let speedup = ab::quartiles_of(&pumps, |p| rate(&p.b) / rate(&p.a).max(1.0));
+    let legacy_rate = ab::quartiles_of(&pumps, |p| rate(&p.a)).median;
+    let batched_rate = ab::quartiles_of(&pumps, |p| rate(&p.b)).median;
+    let batched: Vec<&PumpOut> = pumps.iter().filter_map(|p| p.b.as_ref().ok()).collect();
+    let batched_io = batched.iter().all(|o| o.batched_io);
+    let pool_hits: u64 = batched.iter().map(|o| o.rcv.pool_hits).sum();
+    let pool_misses: u64 = batched.iter().map(|o| o.rcv.pool_misses).sum();
     rep.row(format!(
-        "best pair: {best_legacy:.0} -> {best_batched:.0} msgs/s ({best_speedup:.2}x), \
-         mmsg syscalls {}",
-        if batched_io { "active" } else { "unavailable (fallback)" }
+        "median of pairs: {legacy_rate:.0} -> {batched_rate:.0} msgs/s, speedup {:.2}x \
+         (quartiles {:.2}x .. {:.2}x), mmsg syscalls {}",
+        speedup.median,
+        speedup.q1,
+        speedup.q3,
+        if batched_io {
+            "active"
+        } else {
+            "unavailable (fallback)"
+        }
     ));
     if batched_io {
         rep.shape(
             "batched datapath moves >= 2x the msgs/s of the per-packet path",
-            best_speedup >= MIN_SPEEDUP,
-            format!("best speedup {best_speedup:.2}x (bound {MIN_SPEEDUP:.1}x)"),
+            speedup.median >= MIN_SPEEDUP,
+            format!(
+                "median speedup {:.2}x (bound {MIN_SPEEDUP:.1}x)",
+                speedup.median
+            ),
         );
     } else {
         // The fallback *is* the per-packet path; identical throughput is
@@ -138,37 +149,39 @@ pub fn run_with(pump_pkts: u32, blast_bytes: u64, quick: bool) -> Report {
     rep.shape(
         "receive pool recycles in steady state (hits outnumber misses)",
         pool_hits > pool_misses,
-        format!("{pool_hits} hits vs {pool_misses} misses in the best batched run"),
+        format!("{pool_hits} hits vs {pool_misses} misses over the batched runs"),
     );
 
     // --- Part 2: full-protocol blasts, UDP-syscall CPU share ---
     let _ = run_loopback_blast(per_packet_cfg(), blast_bytes / 4);
-    let mut best_shares: Option<(f64, f64)> = None; // (legacy, batched), max reduction
-    let mut best_goodput = (0.0_f64, 0.0_f64);
-    for i in 0..PAIRS {
-        let legacy = run_loopback_blast(per_packet_cfg(), blast_bytes);
-        let batched = run_loopback_blast(UdtConfig::default(), blast_bytes);
-        let (ls, bs) = (udp_share(&legacy), udp_share(&batched));
+    let blasts = ab::compare(
+        PAIRS,
+        || run_loopback_blast(per_packet_cfg(), blast_bytes),
+        || run_loopback_blast(UdtConfig::default(), blast_bytes),
+    );
+    for (i, p) in blasts.iter().enumerate() {
         rep.row(format!(
             "blast pair {i}: UDP share {:.1}% -> {:.1}% | goodput {} -> {} Mb/s",
-            ls * 100.0,
-            bs * 100.0,
-            mbps(legacy.throughput_bps()),
-            mbps(batched.throughput_bps()),
+            udp_share(&p.a) * 100.0,
+            udp_share(&p.b) * 100.0,
+            mbps(p.a.throughput_bps()),
+            mbps(p.b.throughput_bps()),
         ));
-        if best_shares.is_none_or(|(l, b)| ls - bs > l - b) {
-            best_shares = Some((ls, bs));
-            best_goodput = (legacy.throughput_bps(), batched.throughput_bps());
-        }
     }
-    let (legacy_share, batched_share) = best_shares.unwrap_or((0.0, 0.0));
+    let legacy_share = ab::quartiles_of(&blasts, |p| udp_share(&p.a)).median;
+    let batched_share = ab::quartiles_of(&blasts, |p| udp_share(&p.b));
+    let reduction = ab::quartiles_of(&blasts, |p| udp_share(&p.a) - udp_share(&p.b));
     rep.shape(
-        "batching reduces the UDP-syscall CPU share (most favorable pair)",
-        batched_share < legacy_share,
+        "batching reduces the UDP-syscall CPU share (median of pairs)",
+        reduction.median > 0.0,
         format!(
-            "UDP writing+reading share {:.1}% per-packet vs {:.1}% batched",
+            "UDP writing+reading share {:.1}% per-packet vs {:.1}% batched; per-pair reduction \
+             {:.1} points (quartiles {:.1} .. {:.1})",
             legacy_share * 100.0,
-            batched_share * 100.0
+            batched_share.median * 100.0,
+            reduction.median * 100.0,
+            reduction.q1 * 100.0,
+            reduction.q3 * 100.0
         ),
     );
 
@@ -176,25 +189,24 @@ pub fn run_with(pump_pkts: u32, blast_bytes: u64, quick: bool) -> Report {
         .int("pump_pkts", u64::from(pump_pkts))
         .int("blast_bytes", blast_bytes)
         .flag("batched_io", batched_io)
-        .num("best_speedup", best_speedup)
-        .num("pump_msgs_per_s_per_packet", best_legacy)
-        .num("pump_msgs_per_s_batched", best_batched)
+        .num("median_speedup", speedup.median)
+        .num("q1_speedup", speedup.q1)
+        .num("q3_speedup", speedup.q3)
+        .num("pump_msgs_per_s_per_packet", legacy_rate)
+        .num("pump_msgs_per_s_batched", batched_rate)
         .int("pool_hits", pool_hits)
         .int("pool_misses", pool_misses)
         .num("udp_cpu_share_per_packet", legacy_share)
-        .num("udp_cpu_share_batched", batched_share)
+        .num("udp_cpu_share_batched", batched_share.median)
+        .num("udp_cpu_share_batched_q1", batched_share.q1)
+        .num("udp_cpu_share_batched_q3", batched_share.q3)
         .arr(
             "goodput_bps",
-            vec![Val::F(best_goodput.0), Val::F(best_goodput.1)],
+            vec![
+                Value::Float(ab::quartiles_of(&blasts, |p| p.a.throughput_bps()).median),
+                Value::Float(ab::quartiles_of(&blasts, |p| p.b.throughput_bps()).median),
+            ],
         );
-    match perfjson::write_bench_v2("datapath", quick, json) {
-        Ok(path) => rep.row(format!("wrote {}", path.display())),
-        Err(e) => rep.row(format!("could not write BENCH_datapath.json: {e}")),
-    }
+    perfjson::emit(&mut rep, "datapath", quick, json);
     rep
-}
-
-/// Default entry point.
-pub fn run() -> Report {
-    run_with(200_000, 150_000_000, false)
 }

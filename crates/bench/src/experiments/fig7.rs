@@ -98,8 +98,28 @@ pub fn run() -> Report {
     run_with(1e9, 30.0)
 }
 
+/// `bench exp fig7 --trace <path>`: a scaled (100 Mb/s, 10 s) traced run of
+/// the flow-control scenario whose full event timeline goes to `path` as
+/// JSONL, for `udtmon --once` or offline analysis.
+pub fn run_traced(path: &std::path::Path) -> Report {
+    let mut rep = Report::new(
+        "fig7",
+        "Flow-control scenario, traced",
+        "100 Mb/s, 10 s, full event timeline exported as JSONL",
+    );
+    match export_trace(path, 1e8, 10.0) {
+        Ok(n) => rep.shape(
+            "trace exported",
+            true,
+            format!("wrote {n} events to {}", path.display()),
+        ),
+        Err(e) => rep.shape("trace exported", false, format!("trace export failed: {e}")),
+    }
+    rep
+}
+
 /// Run the flow-control scenario traced and export its event timeline as
-/// JSONL at `path` (`exp_fig7 --trace`). Returns the event count written.
+/// JSONL at `path`. Returns the event count written.
 /// The file round-trips through `udt_trace::json::parse_line` — the same
 /// schema real-socket runs export — so sim and socket timelines can be
 /// compared with one toolchain (`udtmon --once`, plotting scripts).
@@ -125,5 +145,5 @@ pub fn export_trace(path: &std::path::Path, rate_bps: f64, secs: f64) -> std::io
     };
     let tracer = udt_trace::Tracer::ring(1 << 16);
     let _ = crate::scenarios::run_traced(&sc, &tracer);
-    crate::trace_export::write_jsonl(path, &crate::trace_export::sorted_snapshot(&tracer))
+    udt_trace::flight::write_jsonl(path, &tracer.snapshot())
 }

@@ -8,114 +8,81 @@
 //! absent (the default — every emit site is one `Option` branch) and
 //! present with a live scrape endpoint and a fast profiler interval.
 //!
-//! The gate uses the most favorable pair for the same reason
-//! `trace_overhead` does: loopback goodput noise only ever widens an
-//! observed delta, so the smallest delta across pairs upper-bounds the
-//! intrinsic cost, while a genuine hot-path regression (a lock or an
-//! allocation per record) widens every pair and still trips it.
+//! The cost is measured by [`crate::ab::goodput_loss`] (interleaved pairs,
+//! alternating order, median of pairs); the 5% design bound is recorded
+//! against that median and the number's CI gate is its `bench regress` row.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use udt::{MetricsHub, UdtConfig};
-use udt_metrics::registry::SampleValue;
+use udt_metrics::registry::{RegistrySnapshot, SampleValue};
 
+use crate::ab;
+use crate::perfjson;
 use crate::realnet::run_loopback_blast;
-use crate::report::{mbps, Report};
+use crate::report::Report;
 
-/// Interleaved off/on pairs; the most favorable is gated.
-const PAIRS: usize = 3;
-
-/// Maximum tolerated goodput loss with metrics enabled.
+/// Design bound on the goodput loss with metrics enabled.
 const MAX_ENABLED_LOSS: f64 = 0.05;
 
-/// Run with a configurable transfer size per blast.
-pub fn run_with(total_bytes: u64) -> Report {
+/// Sum of `pick` over every series of `family`.
+fn family_sum(snap: &RegistrySnapshot, family: &str, pick: impl Fn(&SampleValue) -> u64) -> u64 {
+    snap.family(family)
+        .map_or(0, |f| f.series.iter().map(|s| pick(&s.value)).sum())
+}
+
+/// Run; `quick` is the CI-sized variant (60 MB blasts instead of 150 MB).
+pub fn run(quick: bool) -> Report {
+    let total_bytes: u64 = if quick { 60_000_000 } else { 150_000_000 };
     let mut rep = Report::new(
         "metrics_overhead",
         "Goodput cost of the always-on metrics registry",
         format!(
-            "{PAIRS} interleaved pairs of {} MB loopback blasts; metrics off vs hub + scrape endpoint",
+            "{} interleaved pairs of {} MB loopback blasts; metrics off vs hub + scrape endpoint",
+            ab::PAIRS,
             total_bytes / 1_000_000
         ),
     );
-    // Warm the stack (thread pools, allocator, page cache) off the books.
-    let _ = run_loopback_blast(UdtConfig::default(), total_bytes / 4);
-
-    let mut best_delta = f64::INFINITY;
     let mut hist_samples: u64 = 0;
     let mut pkt_counts: u64 = 0;
-    for i in 0..PAIRS {
-        let off = run_loopback_blast(UdtConfig::default(), total_bytes);
-        let hub = MetricsHub::new();
-        let cfg = UdtConfig {
-            metrics: Some(Arc::clone(&hub)),
-            metrics_listen: Some("127.0.0.1:0".parse().unwrap()),
-            // Much faster than the default 1 s so the profiler cost is
-            // over-represented rather than missed.
-            metrics_interval: Duration::from_millis(100),
-            ..UdtConfig::default()
-        };
-        let on = run_loopback_blast(cfg, total_bytes);
-        let snap = hub.registry().snapshot();
-        let rtt_count: u64 = snap
-            .family("udt_conn_rtt_us")
-            .map(|f| {
-                f.series
-                    .iter()
-                    .map(|s| match &s.value {
-                        SampleValue::Hist(h) => h.count(),
-                        _ => 0,
-                    })
-                    .sum()
-            })
-            .unwrap_or(0);
-        let sent: u64 = snap
-            .family("udt_conn_pkts_sent")
-            .map(|f| {
-                f.series
-                    .iter()
-                    .map(|s| match s.value {
-                        SampleValue::Counter(v) => v,
-                        _ => 0,
-                    })
-                    .sum()
-            })
-            .unwrap_or(0);
-        hist_samples = hist_samples.max(rtt_count);
-        pkt_counts = pkt_counts.max(sent);
-        hub.shutdown();
-        let delta = 1.0 - on.throughput_bps() / off.throughput_bps().max(1e-9);
-        best_delta = best_delta.min(delta);
-        rep.row(format!(
-            "pair {i}: off {} Mb/s, on {} Mb/s, delta {:+.2}%",
-            mbps(off.throughput_bps()),
-            mbps(on.throughput_bps()),
-            delta * 100.0
-        ));
-    }
-    rep.row(format!(
-        "best-pair delta: {:+.2}% ({pkt_counts} pkts counted, {hist_samples} RTT samples in one metered blast)",
-        best_delta * 100.0
-    ));
-    rep.shape(
-        "enabled metrics cost under 5% goodput (most favorable pair)",
-        best_delta < MAX_ENABLED_LOSS,
-        format!(
-            "best delta {:+.2}% (bound {:.0}%)",
-            best_delta * 100.0,
-            MAX_ENABLED_LOSS * 100.0
-        ),
+    let json = ab::goodput_loss(
+        &mut rep,
+        "enabled metrics cost under 5% goodput (median of pairs)",
+        MAX_ENABLED_LOSS,
+        total_bytes,
+        || {
+            let hub = MetricsHub::new();
+            let cfg = UdtConfig {
+                metrics: Some(Arc::clone(&hub)),
+                metrics_listen: Some("127.0.0.1:0".parse().unwrap()),
+                // Much faster than the default 1 s so the profiler cost is
+                // over-represented rather than missed.
+                metrics_interval: Duration::from_millis(100),
+                ..UdtConfig::default()
+            };
+            let on = run_loopback_blast(cfg, total_bytes);
+            let snap = hub.registry().snapshot();
+            hist_samples = hist_samples.max(family_sum(&snap, "udt_conn_rtt_us", |v| match v {
+                SampleValue::Hist(h) => h.count(),
+                _ => 0,
+            }));
+            pkt_counts = pkt_counts.max(family_sum(&snap, "udt_conn_pkts_sent", |v| match v {
+                SampleValue::Counter(c) => *c,
+                _ => 0,
+            }));
+            hub.shutdown();
+            on.throughput_bps()
+        },
     );
     rep.shape(
         "the hub actually metered the transfer",
         pkt_counts > 1_000 && hist_samples > 0,
-        format!("{pkt_counts} pkts, {hist_samples} RTT samples"),
+        format!("{pkt_counts} pkts, {hist_samples} RTT samples in one metered blast"),
     );
+    let json = json
+        .int("pkts_counted", pkt_counts)
+        .int("rtt_samples", hist_samples);
+    perfjson::emit(&mut rep, "metrics_overhead", quick, json);
     rep
-}
-
-/// Default entry point (also the CI smoke size).
-pub fn run() -> Report {
-    run_with(150_000_000)
 }

@@ -22,17 +22,15 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use linkemu::{LinkEmu, LinkSpec};
-use udt::{
-    bonded_accept, bonded_connect, ResilientSession, ResumableFileSink, RetryPolicy, UdtConfig,
-    UdtListener,
-};
+use udt::{bonded_accept, bonded_connect, RetryPolicy, UdtConfig, UdtListener};
 use udt_algo::Nanos;
-use udt_chaos::relay::ChaosRelay;
 use udt_chaos::{ImpairmentSpec, Scenario};
 use udt_multipath::{run_bonded_sim, BondedCfg, BondedSimCfg, BondedSimResult, SimPathSpec};
+use udt_trace::json::Value;
 use udt_trace::Tracer;
 
-use crate::perfjson::{self, Obj, Val};
+use crate::perfjson::{self, Obj};
+use crate::realnet::{pattern, resilient_upload_through};
 use crate::report::{mbps, Report};
 
 /// Sizing knobs for the two parts.
@@ -69,12 +67,6 @@ fn sizing(quick: bool) -> Sizing {
     }
 }
 
-fn pattern(len: usize, salt: u8) -> Vec<u8> {
-    (0..len)
-        .map(|i| (((i as u32).wrapping_mul(0x9E37_79B9) >> 9) & 0xFF) as u8 ^ salt)
-        .collect()
-}
-
 /// Longest gap between consecutive increases of `progress`, polled until
 /// `stop` is raised (lead-in and tail excluded).
 fn max_stall(stop: &AtomicBool, mut progress: impl FnMut() -> u64) -> Duration {
@@ -107,8 +99,8 @@ fn asymmetric_paths() -> Vec<SimPathSpec> {
     ]
 }
 
-fn sim_run_json(tag: &str, r: &BondedSimResult) -> Val {
-    Val::O(
+fn sim_run_json(tag: &str, r: &BondedSimResult) -> Value {
+    Value::from(
         Obj::new()
             .str("run", tag)
             .num("goodput_bps", r.goodput_bps().unwrap_or(0.0))
@@ -116,7 +108,7 @@ fn sim_run_json(tag: &str, r: &BondedSimResult) -> Val {
             .int("bytes", r.out.len() as u64)
             .arr(
                 "per_path_chunks",
-                r.per_path_chunks.iter().map(|&c| Val::U(c)).collect(),
+                r.per_path_chunks.iter().map(|&c| Value::UInt(c)).collect(),
             ),
     )
 }
@@ -252,29 +244,6 @@ fn baseline_failover(sz: &Sizing, dir: &Path, data: &[u8]) -> BaselineOut {
         },
         ..UdtConfig::default()
     };
-    let listener = UdtListener::bind("127.0.0.1:0".parse().unwrap(), cfg.clone()).expect("bind");
-    let sessions = listener.sessions();
-    let relay = ChaosRelay::start(&scenario, listener.local_addr()).expect("relay");
-
-    let sink_dest = dest.clone();
-    let server = std::thread::spawn(move || {
-        let sink = ResumableFileSink::new(&sink_dest, sessions);
-        for _ in 0..8 {
-            let Some(conn) = listener
-                .accept_timeout(Duration::from_secs(20))
-                .expect("accept")
-            else {
-                return false;
-            };
-            match sink.absorb(&conn) {
-                Ok(true) => return true,
-                Ok(false) => continue,
-                Err(e) => panic!("sink failed non-retryably: {e}"),
-            }
-        }
-        false
-    });
-
     let done = Arc::new(AtomicBool::new(false));
     let watcher = {
         let part = udt::file::part_path(&dest);
@@ -288,20 +257,24 @@ fn baseline_failover(sz: &Sizing, dir: &Path, data: &[u8]) -> BaselineOut {
             })
         })
     };
-    let mut sess = ResilientSession::connect(relay.client_addr(), cfg).expect("connect");
-    let sent = sess.upload(&src, len).expect("upload");
-    let completed = server.join().expect("server thread");
+    let up = resilient_upload_through(
+        &scenario,
+        &cfg,
+        &src,
+        &dest,
+        len,
+        8,
+        Duration::from_secs(20),
+    );
     done.store(true, Ordering::Release);
     let stall = watcher.join().expect("watcher thread");
-    relay.shutdown();
 
-    let snap = sess.counters();
     let out = std::fs::read(&dest).unwrap_or_default();
     BaselineOut {
-        ok: sent == len && completed && out == data,
+        ok: up.sent == len && up.completed && out == data,
         stall,
-        reconnects: snap.reconnect_successes,
-        resumed_bytes: snap.resumed_bytes,
+        reconnects: up.session.reconnect_successes,
+        resumed_bytes: up.session.resumed_bytes,
     }
 }
 
@@ -405,7 +378,7 @@ pub fn run(quick: bool) -> Report {
             vec![
                 sim_run_json("bonded-sim", &bonded),
                 sim_run_json("single-best", &single),
-                Val::O(
+                Value::from(
                     Obj::new()
                         .str("run", "failover-bonded")
                         .int("bytes", sz.bonded_bytes as u64)
@@ -414,7 +387,7 @@ pub fn run(quick: bool) -> Report {
                         .flag("rejoined", fo.rejoined)
                         .int("reconnect_events", fo.reconnects as u64),
                 ),
-                Val::O(
+                Value::from(
                     Obj::new()
                         .str("run", "failover-baseline")
                         .int("bytes", sz.baseline_bytes as u64)
@@ -424,14 +397,6 @@ pub fn run(quick: bool) -> Report {
                 ),
             ],
         );
-    match perfjson::write_bench_v2("multipath", quick, json) {
-        Ok(p) => rep.row(format!("wrote {}", p.display())),
-        Err(e) => rep.row(format!("BENCH_multipath.json not written: {e}")),
-    }
+    perfjson::emit(&mut rep, "multipath", quick, json);
     rep
-}
-
-/// Full-size entry point for `exp_all`.
-pub fn run_full() -> Report {
-    run(false)
 }

@@ -3,7 +3,7 @@
 //! The resilience layer (PR: udt-resilience) claims a session outlives any
 //! number of outages, paying only the outage time plus re-sent bytes after
 //! the last confirmed offset. This soak drives a real-socket upload through
-//! a [`ChaosRelay`] whose link flaps dark periodically — each dark window
+//! a fault-injecting `linkemu` relay whose link flaps dark periodically — each dark window
 //! is long enough for EXP escalation to declare the connection terminally
 //! `Broken` on both sides — and asserts the session reconnects, resumes,
 //! and lands a byte-identical file, with the listener accepting exactly one
@@ -12,26 +12,15 @@
 //! `--quick` shrinks the file so CI can afford the soak; the full run
 //! crosses several flap cycles.
 
-// Numeric casts in this module are deliberate: bounded protocol arithmetic,
-// 32-bit wire fields, and clock/rate conversions whose ranges are argued at
-// the cast sites. Sequence/timestamp casts are separately policed by udt-lint.
-#![allow(clippy::cast_possible_truncation)]
+use std::time::Duration;
 
-use std::time::{Duration, Instant};
-
-use udt::{ResilientSession, ResumableFileSink, RetryPolicy, UdtConfig, UdtListener};
-use udt_chaos::relay::ChaosRelay;
+use udt::{RetryPolicy, UdtConfig};
 use udt_chaos::scenario::{ImpairmentSpec, Scenario};
 
+use crate::realnet::{pattern, resilient_upload_through, transfer_through};
 use crate::report::{mbps, Report};
 
 const SEED: u64 = 0x50AC_2026;
-
-fn pattern(len: usize) -> Vec<u8> {
-    (0..len)
-        .map(|i| ((i as u32).wrapping_mul(0x9E3779B9) >> 9) as u8)
-        .collect()
-}
 
 /// Run. `quick` soaks one flap cycle instead of several.
 pub fn run(quick: bool) -> Report {
@@ -40,7 +29,7 @@ pub fn run(quick: bool) -> Report {
         "exp_soak",
         "Resilience soak: bulk upload across repeated link blackouts",
         format!(
-            "{} MB upload through a ChaosRelay, forward path clamped to 40 Mb/s, \
+            "{} MB upload through a fault-injecting relay, forward path clamped to 40 Mb/s, \
              1.2 s blackout both ways every 3 s (link dark 40% of the time); \
              fast EXP ladder (count 3, 500 ms floor) so every dark window kills \
              the connection; fixed scenario seed",
@@ -79,45 +68,29 @@ pub fn run(quick: bool) -> Report {
     std::fs::create_dir_all(&dir).expect("scratch dir");
     let src = dir.join("soak-src.bin");
     let dest = dir.join("soak-dest.bin");
-    let data = pattern(len as usize);
+    // `len` is 4 or 16 MB: fits any usize.
+    #[allow(clippy::cast_possible_truncation)]
+    let data = pattern(len as usize, 0);
     std::fs::write(&src, &data).expect("write source");
 
-    let listener = UdtListener::bind("127.0.0.1:0".parse().unwrap(), cfg.clone()).expect("bind");
-    let sessions = listener.sessions();
-    let relay = ChaosRelay::start(&scenario, listener.local_addr()).expect("relay");
-
-    let sink_dest = dest.clone();
-    let server = std::thread::spawn(move || {
-        let sink = ResumableFileSink::new(&sink_dest, sessions);
-        for _ in 0..64 {
-            let Some(conn) = listener.accept_timeout(Duration::from_secs(30)).expect("accept")
-            else {
-                return (false, listener.counters());
-            };
-            match sink.absorb(&conn) {
-                Ok(true) => return (true, listener.counters()),
-                Ok(false) => continue,
-                Err(e) => panic!("sink failed non-retryably: {e}"),
-            }
-        }
-        (false, listener.counters())
-    });
-
-    let t0 = Instant::now();
-    let mut sess =
-        ResilientSession::connect(relay.client_addr(), cfg).expect("initial session connect");
-    let sent = sess.upload(&src, len).expect("soak upload");
-    let elapsed = t0.elapsed();
-    let (done, lsnap) = server.join().expect("server thread");
-    relay.shutdown();
-    let snap = sess.counters();
+    let up = resilient_upload_through(
+        &scenario,
+        &cfg,
+        &src,
+        &dest,
+        len,
+        64,
+        Duration::from_secs(30),
+    );
+    let (sent, elapsed, done, snap, lsnap) =
+        (up.sent, up.elapsed, up.completed, up.session, up.listener);
     let out = std::fs::read(&dest).unwrap_or_default();
     std::fs::remove_dir_all(&dir).ok();
 
     // No-resilience baseline: the same transfer over a plain connection
     // through an identically-seeded relay. The first blackout kills it;
     // whatever arrived by then is all a restart-from-zero world keeps.
-    let baseline = baseline_run(&scenario, &data);
+    let baseline = transfer_through(&scenario, &cfg, &data).0.len() as u64;
 
     let goodput = sent as f64 * 8.0 / elapsed.as_secs_f64();
     rep.row(format!(
@@ -174,40 +147,4 @@ pub fn run(quick: bool) -> Report {
         format!("baseline delivered {baseline} of {len} bytes"),
     );
     rep
-}
-
-/// One plain-connection attempt through an identically-seeded relay:
-/// returns the bytes the receiver had when the first blackout broke it.
-fn baseline_run(scenario: &Scenario, data: &[u8]) -> u64 {
-    let cfg = UdtConfig {
-        max_exp_count: 3,
-        broken_silence_floor: Duration::from_millis(500),
-        connect_timeout: Duration::from_secs(3),
-        linger: Duration::from_secs(30),
-        ..UdtConfig::default()
-    };
-    let listener = UdtListener::bind("127.0.0.1:0".parse().unwrap(), cfg.clone()).expect("bind");
-    let relay = ChaosRelay::start(scenario, listener.local_addr()).expect("relay");
-    let server = std::thread::spawn(move || {
-        let Ok(Some(conn)) = listener.accept_timeout(Duration::from_secs(10)) else {
-            return 0u64;
-        };
-        let mut buf = vec![0u8; 1 << 16];
-        let mut got = 0u64;
-        loop {
-            match conn.recv(&mut buf) {
-                Ok(0) | Err(_) => return got,
-                Ok(n) => got += n as u64,
-            }
-        }
-    });
-    if let Ok(conn) = udt::UdtConnection::connect(relay.client_addr(), cfg) {
-        // The send side just pushes until the link death surfaces; the
-        // measurement is what the *receiver* kept.
-        let _ = conn.send(data);
-        let _ = conn.close();
-    }
-    let got = server.join().expect("baseline server");
-    relay.shutdown();
-    got
 }

@@ -8,14 +8,15 @@
 //! regions during a loopback blast.
 
 use udt::UdtConfig;
+use udt_trace::json::Value;
 
-use crate::perfjson::{self, Obj, Val};
+use crate::perfjson::{self, Obj};
 use crate::realnet::{run_loopback_blast, TransferOut};
 use crate::report::{mbps, Report};
 
 /// One blast as a machine-readable run entry: goodput, wall clock, and
 /// the full per-category CPU ratio tables for both sides.
-fn blast_json(tag: &str, out: &TransferOut) -> Val {
+fn blast_json(tag: &str, out: &TransferOut) -> Value {
     let ratios = |table: Vec<(&str, f64)>| {
         let mut o = Obj::new();
         for (name, ratio) in table {
@@ -23,7 +24,7 @@ fn blast_json(tag: &str, out: &TransferOut) -> Val {
         }
         o
     };
-    Val::O(
+    Value::from(
         Obj::new()
             .str("run", tag)
             .num("throughput_bps", out.throughput_bps())
@@ -97,7 +98,7 @@ pub fn run() -> Report {
     run_with(300_000_000)
 }
 
-/// CI-sized stability check (`exp_tbl3 --quick`): two small blasts must
+/// CI-sized stability check (`bench exp tbl3 --quick`): two small blasts must
 /// agree on the dominant categories and produce close ratios. A profile
 /// whose percentages wander run-to-run cannot support Table 3-style
 /// conclusions, so the quick gate checks reproducibility rather than the
@@ -147,9 +148,6 @@ pub fn run_quick() -> Report {
     let json = Obj::new()
         .int("bytes_per_run", total)
         .arr("runs", vec![blast_json("A", &a), blast_json("B", &b)]);
-    match perfjson::write_bench_v2("tbl3", true, json) {
-        Ok(p) => rep.row(format!("wrote {}", p.display())),
-        Err(e) => rep.row(format!("BENCH_tbl3.json not written: {e}")),
-    }
+    perfjson::emit(&mut rep, "tbl3", true, json);
     rep
 }

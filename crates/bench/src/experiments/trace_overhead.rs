@@ -6,79 +6,59 @@
 //! every emission site is one branch, no allocation) and enabled with the
 //! default ring (~58 ns per emitted event, measured).
 //!
-//! Loopback goodput on a shared host is *very* noisy (scheduler placement
-//! and retransmission luck swing single runs by 2×), so the gate uses the
-//! most favorable pair: noise only ever widens an observed delta, so the
-//! smallest delta across pairs is an upper bound on the intrinsic cost,
-//! while a genuine hot-path regression (a lock, an allocation per packet)
-//! would widen every pair and still trip it.
+//! The cost is measured by [`crate::ab::goodput_loss`] (interleaved pairs,
+//! alternating order, median of pairs); the 5% design bound is recorded
+//! against that median and the number's CI gate is its `bench regress` row.
 
 use udt::{Tracer, UdtConfig, DEFAULT_RING_CAPACITY};
 
+use crate::ab;
+use crate::perfjson;
 use crate::realnet::run_loopback_blast;
-use crate::report::{mbps, Report};
+use crate::report::Report;
 
-/// Interleaved off/on pairs; the most favorable is gated.
-const PAIRS: usize = 3;
-
-/// Maximum tolerated goodput loss with tracing enabled.
+/// Design bound on the goodput loss with tracing enabled.
 const MAX_ENABLED_LOSS: f64 = 0.05;
 
-/// Run with a configurable transfer size per blast.
-pub fn run_with(total_bytes: u64) -> Report {
+/// Run; `quick` is the CI-sized variant (60 MB blasts instead of 150 MB).
+pub fn run(quick: bool) -> Report {
+    let total_bytes: u64 = if quick { 60_000_000 } else { 150_000_000 };
     let mut rep = Report::new(
         "trace_overhead",
         "Goodput cost of structured event tracing",
         format!(
-            "{PAIRS} interleaved pairs of {} MB loopback blasts; tracer off vs ring({DEFAULT_RING_CAPACITY})",
+            "{} interleaved pairs of {} MB loopback blasts; tracer off vs ring({DEFAULT_RING_CAPACITY})",
+            ab::PAIRS,
             total_bytes / 1_000_000
         ),
     );
-    // Warm the stack (thread pools, allocator, page cache) off the books.
-    let _ = run_loopback_blast(UdtConfig::default(), total_bytes / 4);
-
-    let mut best_delta = f64::INFINITY;
     let mut events: u64 = 0;
-    for i in 0..PAIRS {
-        let off = run_loopback_blast(UdtConfig::default(), total_bytes);
-        let cfg = UdtConfig {
-            tracer: Tracer::ring(DEFAULT_RING_CAPACITY),
-            ..UdtConfig::default()
-        };
-        let tracer = cfg.tracer.clone();
-        let on = run_loopback_blast(cfg, total_bytes);
-        events = events.max(tracer.pushed());
-        let delta = 1.0 - on.throughput_bps() / off.throughput_bps().max(1e-9);
-        best_delta = best_delta.min(delta);
-        rep.row(format!(
-            "pair {i}: off {} Mb/s, on {} Mb/s, delta {:+.2}%",
-            mbps(off.throughput_bps()),
-            mbps(on.throughput_bps()),
-            delta * 100.0
-        ));
-    }
-    rep.row(format!(
-        "best-pair delta: {:+.2}% ({events} events pushed in one traced blast)",
-        best_delta * 100.0
-    ));
-    rep.shape(
-        "enabled tracing costs under 5% goodput (most favorable pair)",
-        best_delta < MAX_ENABLED_LOSS,
-        format!(
-            "best delta {:+.2}% (bound {:.0}%)",
-            best_delta * 100.0,
-            MAX_ENABLED_LOSS * 100.0
-        ),
+    let json = ab::goodput_loss(
+        &mut rep,
+        "enabled tracing costs under 5% goodput (median of pairs)",
+        MAX_ENABLED_LOSS,
+        total_bytes,
+        || {
+            let tracer = Tracer::ring(DEFAULT_RING_CAPACITY);
+            let cfg = UdtConfig {
+                tracer: tracer.clone(),
+                ..UdtConfig::default()
+            };
+            let on = run_loopback_blast(cfg, total_bytes);
+            events = events.max(tracer.pushed());
+            on.throughput_bps()
+        },
     );
     rep.shape(
         "an enabled tracer actually captured the transfer",
         events > 1_000,
-        format!("{events} events pushed"),
+        format!("{events} events pushed in one traced blast"),
+    );
+    perfjson::emit(
+        &mut rep,
+        "trace_overhead",
+        quick,
+        json.int("events", events),
     );
     rep
-}
-
-/// Default entry point (also the CI smoke size).
-pub fn run() -> Report {
-    run_with(150_000_000)
 }

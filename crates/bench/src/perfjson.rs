@@ -2,11 +2,12 @@
 //!
 //! Experiments print human-oriented reports; CI and downstream tooling
 //! want numbers they can diff without scraping. This module is a tiny
-//! dependency-free JSON builder *and parser* (same philosophy as
-//! `udt_trace::json`: flat, hand-rolled, no serde) plus [`write_bench_v2`],
-//! which wraps the experiment payload in the schema-v2 envelope and drops
-//! the rendered object next to the working directory the experiment ran
-//! in — `ci.sh` runs from the repo root, so the artifacts land there.
+//! builder over `udt_trace::json::Value` (the one JSON value type: rendered
+//! there, read back with `udt_trace::json::parse`)
+//! plus [`emit`], which wraps the experiment payload in the
+//! schema-v2 envelope and drops the rendered object next to the working
+//! directory the experiment ran in — `ci.sh` runs from the repo root, so
+//! the artifacts land there.
 //!
 //! ## The v2 envelope
 //!
@@ -21,76 +22,20 @@
 //! so `bench regress` can compare any two artifacts without knowing the
 //! experiment, and a committed baseline records where it came from.
 
-use std::io;
-use std::path::PathBuf;
+use udt_trace::json::Value;
 
-/// A JSON value: scalars, arrays, and nested objects.
-#[derive(Debug, Clone)]
-pub enum Val {
-    /// A float (non-finite values render as 0, like the trace codec).
-    F(f64),
-    /// An unsigned integer.
-    U(u64),
-    /// A string.
-    S(String),
-    /// A boolean.
-    B(bool),
-    /// An array of values.
-    A(Vec<Val>),
-    /// A nested object.
-    O(Obj),
-    /// JSON `null` (only produced by the parser; the builder never emits it).
-    Null,
-}
+use crate::report::Report;
 
-impl Val {
-    /// Numeric view: floats and unsigned integers unify to `f64`.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Val::F(f) => Some(*f),
-            #[allow(clippy::cast_precision_loss)]
-            Val::U(u) => Some(*u as f64),
-            _ => None,
-        }
-    }
-
-    /// String view.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Val::S(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Boolean view.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Val::B(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// Object field lookup (first match; artifacts never repeat keys).
-    pub fn get(&self, key: &str) -> Option<&Val> {
-        match self {
-            Val::O(o) => o.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// Array items.
-    pub fn items(&self) -> Option<&[Val]> {
-        match self {
-            Val::A(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-/// An ordered JSON object under construction.
+/// An ordered JSON object under construction (a [`Value::Obj`] once built).
 #[derive(Debug, Clone, Default)]
 pub struct Obj {
-    fields: Vec<(String, Val)>,
+    fields: Vec<(String, Value)>,
+}
+
+impl From<Obj> for Value {
+    fn from(o: Obj) -> Value {
+        Value::Obj(o.fields)
+    }
 }
 
 impl Obj {
@@ -99,121 +44,51 @@ impl Obj {
         Obj::default()
     }
 
-    /// Add a float field.
-    #[must_use]
-    pub fn num(mut self, key: &str, v: f64) -> Obj {
-        self.fields.push((key.to_string(), Val::F(v)));
+    fn with(mut self, key: &str, v: Value) -> Obj {
+        self.fields.push((key.to_string(), v));
         self
+    }
+
+    /// Add a float field (non-finite values render as 0).
+    #[must_use]
+    pub fn num(self, key: &str, v: f64) -> Obj {
+        self.with(key, Value::Float(v))
     }
 
     /// Add an unsigned integer field.
     #[must_use]
-    pub fn int(mut self, key: &str, v: u64) -> Obj {
-        self.fields.push((key.to_string(), Val::U(v)));
-        self
+    pub fn int(self, key: &str, v: u64) -> Obj {
+        self.with(key, Value::UInt(v))
     }
 
     /// Add a string field.
     #[must_use]
-    pub fn str(mut self, key: &str, v: impl Into<String>) -> Obj {
-        self.fields.push((key.to_string(), Val::S(v.into())));
-        self
+    pub fn str(self, key: &str, v: impl Into<String>) -> Obj {
+        self.with(key, Value::Str(v.into()))
     }
 
     /// Add a boolean field.
     #[must_use]
-    pub fn flag(mut self, key: &str, v: bool) -> Obj {
-        self.fields.push((key.to_string(), Val::B(v)));
-        self
+    pub fn flag(self, key: &str, v: bool) -> Obj {
+        self.with(key, Value::Bool(v))
     }
 
     /// Add an array field.
     #[must_use]
-    pub fn arr(mut self, key: &str, items: Vec<Val>) -> Obj {
-        self.fields.push((key.to_string(), Val::A(items)));
-        self
+    pub fn arr(self, key: &str, items: Vec<Value>) -> Obj {
+        self.with(key, Value::Arr(items))
     }
 
     /// Add a nested object field.
     #[must_use]
-    pub fn obj(mut self, key: &str, o: Obj) -> Obj {
-        self.fields.push((key.to_string(), Val::O(o)));
-        self
+    pub fn obj(self, key: &str, o: Obj) -> Obj {
+        self.with(key, o.into())
     }
 
     /// Render as a compact single-line JSON object.
-    pub fn render(&self) -> String {
-        let mut s = String::with_capacity(256);
-        render_obj(self, &mut s);
-        s
+    pub fn render(self) -> String {
+        Value::from(self).render()
     }
-}
-
-fn render_obj(o: &Obj, s: &mut String) {
-    s.push('{');
-    for (i, (k, v)) in o.fields.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        push_str_escaped(k, s);
-        s.push(':');
-        render_val(v, s);
-    }
-    s.push('}');
-}
-
-fn render_val(v: &Val, s: &mut String) {
-    match v {
-        Val::F(f) => {
-            if f.is_finite() {
-                s.push_str(&f.to_string());
-            } else {
-                s.push('0');
-            }
-        }
-        Val::U(u) => s.push_str(&u.to_string()),
-        Val::S(text) => push_str_escaped(text, s),
-        Val::B(b) => s.push_str(if *b { "true" } else { "false" }),
-        Val::A(items) => {
-            s.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                render_val(item, s);
-            }
-            s.push(']');
-        }
-        Val::O(o) => render_obj(o, s),
-        Val::Null => s.push_str("null"),
-    }
-}
-
-fn push_str_escaped(text: &str, s: &mut String) {
-    s.push('"');
-    for c in text.chars() {
-        match c {
-            '"' => s.push_str("\\\""),
-            '\\' => s.push_str("\\\\"),
-            '\n' => s.push_str("\\n"),
-            '\t' => s.push_str("\\t"),
-            '\r' => s.push_str("\\r"),
-            c if u32::from(c) < 0x20 => {
-                let code = u32::from(c);
-                s.push_str(&format!("\\u{code:04x}"));
-            }
-            c => s.push(c),
-        }
-    }
-    s.push('"');
-}
-
-/// Write `obj` to `BENCH_<name>.json` in the current working directory
-/// (trailing newline included) and return the path written.
-pub fn write_bench(name: &str, obj: &Obj) -> io::Result<PathBuf> {
-    let path = PathBuf::from(format!("BENCH_{name}.json"));
-    std::fs::write(&path, obj.render() + "\n")?;
-    Ok(path)
 }
 
 /// Current artifact schema version (see module docs for the envelope).
@@ -232,9 +107,15 @@ pub fn envelope(bench: &str, quick: bool, payload: Obj) -> Obj {
         .obj("payload", payload)
 }
 
-/// Write the payload wrapped in the v2 envelope to `BENCH_<name>.json`.
-pub fn write_bench_v2(name: &str, quick: bool, payload: Obj) -> io::Result<PathBuf> {
-    write_bench(name, &envelope(name, quick, payload))
+/// Write the payload, wrapped in the v2 envelope, to `BENCH_<name>.json` in
+/// the current working directory (trailing newline included) and note where
+/// it went — or why not — in `rep`.
+pub fn emit(rep: &mut Report, name: &str, quick: bool, payload: Obj) {
+    let path = format!("BENCH_{name}.json");
+    match std::fs::write(&path, envelope(name, quick, payload).render() + "\n") {
+        Ok(()) => rep.row(format!("wrote {path}")),
+        Err(e) => rep.row(format!("{path} not written: {e}")),
+    }
 }
 
 /// Resolve HEAD to a commit hash by reading `.git` directly (no `git`
@@ -295,178 +176,10 @@ fn hostname() -> Option<String> {
         .filter(|h| !h.is_empty())
 }
 
-/// Parse a JSON document into a [`Val`]. Object key order is preserved.
-/// Numbers parse as `U` when they are non-negative integers that fit
-/// `u64`, else as `F` — matching what the builder emits.
-pub fn parse_json(text: &str) -> Result<Val, String> {
-    let b = text.as_bytes();
-    let mut pos = 0usize;
-    let v = parse_value(b, &mut pos)?;
-    skip_ws(b, &mut pos);
-    if pos != b.len() {
-        return Err(format!("trailing bytes at offset {pos}"));
-    }
-    Ok(v)
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Val, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
-        Some(b'"') => parse_string(b, pos).map(Val::S),
-        Some(b't') => parse_lit(b, pos, "true").map(|()| Val::B(true)),
-        Some(b'f') => parse_lit(b, pos, "false").map(|()| Val::B(false)),
-        Some(b'n') => parse_lit(b, pos, "null").map(|()| Val::Null),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(b, pos),
-        Some(c) => Err(format!("unexpected byte {c:#04x} at offset {pos}")),
-        None => Err("unexpected end of input".into()),
-    }
-}
-
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(())
-    } else {
-        Err(format!("bad literal at offset {pos}, expected {lit}"))
-    }
-}
-
-fn parse_number(b: &[u8], pos: &mut usize) -> Result<Val, String> {
-    let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    while *pos < b.len()
-        && matches!(b[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-    {
-        *pos += 1;
-    }
-    let text = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
-    if !text.contains(['.', 'e', 'E']) {
-        if let Ok(u) = text.parse::<u64>() {
-            return Ok(Val::U(u));
-        }
-    }
-    text.parse::<f64>()
-        .map(Val::F)
-        .map_err(|e| format!("bad number {text:?} at offset {start}: {e}"))
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    debug_assert_eq!(b[*pos], b'"');
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match b.get(*pos) {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or("truncated \\u escape")?;
-                        let code =
-                            u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
-                        // Artifacts only escape control chars; surrogate
-                        // pairs are out of scope for this codec.
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    other => return Err(format!("bad escape {other:?}")),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte sequences pass through).
-                let rest = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().ok_or("unterminated string")?;
-                out.push(c);
-                *pos += c.len_utf8();
-            }
-        }
-    }
-}
-
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<Val, String> {
-    *pos += 1; // '{'
-    let mut o = Obj::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Val::O(o));
-    }
-    loop {
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b'"') {
-            return Err(format!("expected object key at offset {pos}"));
-        }
-        let key = parse_string(b, pos)?;
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b':') {
-            return Err(format!("expected ':' at offset {pos}"));
-        }
-        *pos += 1;
-        let v = parse_value(b, pos)?;
-        o.fields.push((key, v));
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Val::O(o));
-            }
-            _ => return Err(format!("expected ',' or '}}' at offset {pos}")),
-        }
-    }
-}
-
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<Val, String> {
-    *pos += 1; // '['
-    let mut items = Vec::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Val::A(items));
-    }
-    loop {
-        items.push(parse_value(b, pos)?);
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Val::A(items));
-            }
-            _ => return Err(format!("expected ',' or ']' at offset {pos}")),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use udt_trace::json::parse as parse_json;
 
     #[test]
     fn renders_nested_structure() {
@@ -478,8 +191,8 @@ mod tests {
             .arr(
                 "runs",
                 vec![
-                    Val::O(Obj::new().str("run", "a").num("x", 1.0)),
-                    Val::U(7),
+                    Obj::new().str("run", "a").num("x", 1.0).into(),
+                    Value::UInt(7),
                 ],
             );
         let s = o.render();
@@ -507,30 +220,34 @@ mod tests {
             .flag("ok", true)
             .arr(
                 "runs",
-                vec![Val::O(Obj::new().str("run", "a").num("x", 1.5)), Val::U(7)],
+                vec![
+                    Obj::new().str("run", "a").num("x", 1.5).into(),
+                    Value::UInt(7),
+                ],
             );
-        let text = o.render();
-        let back = parse_json(&text).expect("parses");
-        // Re-render must reproduce the exact bytes (order preserved,
-        // integers stay integers).
-        let mut s = String::new();
-        render_val(&back, &mut s);
-        assert_eq!(s, text);
-        // Typed access works through the Val views.
-        assert_eq!(back.get("bench").and_then(Val::as_str), Some("demo"));
-        assert_eq!(back.get("chunks").and_then(Val::as_f64), Some(42.0));
-        assert_eq!(
-            back.get("runs").and_then(Val::items).map(<[Val]>::len),
-            Some(2)
-        );
+        let back = parse_json(&o.render()).expect("parses");
+        // Order preserved, integers stay integers, nesting survives.
+        let Value::Obj(fields) = &back else {
+            panic!("not an object: {back:?}");
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["bench", "goodput_bps", "chunks", "ok", "runs"]);
+        assert_eq!(back.get("bench").and_then(Value::as_str), Some("demo"));
+        assert_eq!(back.get("goodput_bps"), Some(&Value::UInt(12_500_000)));
+        assert_eq!(back.get("chunks"), Some(&Value::UInt(42)));
+        assert_eq!(back.get("ok").and_then(Value::as_bool), Some(true));
+        let runs = back.get("runs").and_then(Value::items).expect("runs");
+        assert_eq!(runs.len(), 2);
+        assert_eq!(runs[0].get("x"), Some(&Value::Float(1.5)));
+        assert_eq!(runs[1], Value::UInt(7));
     }
 
     #[test]
     fn parser_handles_escapes_null_and_negative() {
         let v = parse_json(r#"{"s":"a\n\"b\u0041","n":null,"x":-2.5}"#).unwrap();
-        assert_eq!(v.get("s").and_then(Val::as_str), Some("a\n\"bA"));
-        assert!(matches!(v.get("n"), Some(Val::Null)));
-        assert_eq!(v.get("x").and_then(Val::as_f64), Some(-2.5));
+        assert_eq!(v.get("s").and_then(Value::as_str), Some("a\n\"bA"));
+        assert!(matches!(v.get("n"), Some(Value::Null)));
+        assert_eq!(v.get("x").and_then(Value::as_f64), Some(-2.5));
         assert!(parse_json("{\"a\":1,}").is_err());
         assert!(parse_json("[1 2]").is_err());
         assert!(parse_json("{\"a\":1}x").is_err());
@@ -540,21 +257,18 @@ mod tests {
     fn envelope_carries_provenance() {
         let e = envelope("demo", true, Obj::new().int("k", 1));
         let v = parse_json(&e.render()).unwrap();
-        assert_eq!(
-            v.get("schema_version").and_then(Val::as_f64),
-            Some(2.0)
-        );
-        assert_eq!(v.get("bench").and_then(Val::as_str), Some("demo"));
-        assert_eq!(v.get("quick").and_then(Val::as_bool), Some(true));
-        let date = v.get("date_utc").and_then(Val::as_str).unwrap();
+        assert_eq!(v.get("schema_version").and_then(Value::as_f64), Some(2.0));
+        assert_eq!(v.get("bench").and_then(Value::as_str), Some("demo"));
+        assert_eq!(v.get("quick").and_then(Value::as_bool), Some(true));
+        let date = v.get("date_utc").and_then(Value::as_str).unwrap();
         assert_eq!(date.len(), 10, "{date}");
         assert!(date.as_bytes()[4] == b'-' && date.as_bytes()[7] == b'-');
         assert_eq!(
-            v.get("payload").and_then(|p| p.get("k")).and_then(Val::as_f64),
+            v.get("payload").and_then(|p| p.get("k")).and_then(Value::as_f64),
             Some(1.0)
         );
         // In this repo the rev resolves to a real commit hash.
-        let rev = v.get("git_rev").and_then(Val::as_str).unwrap();
+        let rev = v.get("git_rev").and_then(Value::as_str).unwrap();
         assert!(rev == "unknown" || rev.len() >= 7, "{rev}");
     }
 
@@ -574,7 +288,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let o = Obj::new().str("bench", "t");
         let rendered = o.render() + "\n";
-        // write_bench writes relative to the cwd, which is shared across
+        // `emit` writes relative to the cwd, which is shared across
         // the test process; exercise the rendering + IO path via the dir.
         std::fs::write(dir.join("BENCH_t.json"), &rendered).unwrap();
         let back = std::fs::read_to_string(dir.join("BENCH_t.json")).unwrap();

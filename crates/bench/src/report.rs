@@ -9,6 +9,10 @@ pub struct Shape {
     pub ok: bool,
     /// The measured evidence.
     pub detail: String,
+    /// Whether a failure fails the run. A recorded-only check (see
+    /// [`Report::measured`]) prints and renders like any other but is
+    /// gated elsewhere.
+    pub gates: bool,
 }
 
 /// The outcome of one experiment.
@@ -49,12 +53,23 @@ impl Report {
             claim: claim.into(),
             ok,
             detail: detail.into(),
+            gates: true,
         });
     }
 
-    /// All shapes hold?
+    /// Record a bound on a noisy measurement: reported as holding or not,
+    /// but never failing the run — its one CI gate is the `bench regress`
+    /// row that compares the number against the committed baseline.
+    pub fn measured(&mut self, claim: impl Into<String>, ok: bool, detail: impl Into<String>) {
+        self.shape(claim, ok, detail);
+        if let Some(s) = self.shapes.last_mut() {
+            s.gates = false;
+        }
+    }
+
+    /// All gating shapes hold?
     pub fn all_ok(&self) -> bool {
-        self.shapes.iter().all(|s| s.ok)
+        self.shapes.iter().all(|s| s.ok || !s.gates)
     }
 
     /// Print to stdout in the harness format.
@@ -66,10 +81,15 @@ impl Report {
         }
         for s in &self.shapes {
             println!(
-                "SHAPE: [{}] {} — {}",
+                "SHAPE: [{}] {} — {}{}",
                 if s.ok { "PASS" } else { "FAIL" },
                 s.claim,
-                s.detail
+                s.detail,
+                if s.gates {
+                    ""
+                } else {
+                    " [recorded; gate: bench regress]"
+                }
             );
         }
         println!();
@@ -110,6 +130,8 @@ mod tests {
         let mut r = Report::new("figX", "Test", "none");
         r.row("a b c");
         r.shape("x > y", true, "x=2 y=1");
+        r.measured("noisy < bound", false, "recorded only");
+        assert!(r.all_ok(), "a recorded bound never fails the run");
         r.shape("y > z", false, "y=1 z=3");
         assert!(!r.all_ok());
         let md = r.to_markdown();

@@ -5,7 +5,11 @@
 //! 110 ms. This crate stands in for those links on a single machine: a UDP
 //! relay that imposes a serialization rate (token-less transmit clock, like
 //! a fixed-capacity line card), a propagation delay, a bounded DropTail
-//! buffer, and optional random loss — per direction.
+//! buffer, and optional random loss — per direction. It is also the
+//! workspace's only UDP relay: a pure fault injector is the same relay over
+//! an unshaped link ([`LinkSpec::unshaped`], [`LinkEmu::from_scenario`]),
+//! where only the `udt-chaos` impairment chain decides when a datagram
+//! leaves.
 //!
 //! ```text
 //!   client ⇄ [socket A  relay  socket B] ⇄ server
@@ -89,6 +93,18 @@ impl LinkSpec {
         }
     }
 
+    /// An unshaped link: infinite rate, no delay, unbounded queue. A
+    /// datagram is released when the impairment chain's verdict says so and
+    /// for no other reason (serialization time is zero, so the transmit
+    /// clock never runs ahead of `now`).
+    pub fn unshaped(seed: u64) -> LinkSpec {
+        LinkSpec {
+            queue_pkts: usize::MAX,
+            seed,
+            ..LinkSpec::clean(f64::INFINITY, Duration::ZERO)
+        }
+    }
+
     /// Append an impairment stage to this direction's chain.
     pub fn impair(mut self, spec: ImpairmentSpec) -> LinkSpec {
         self.impairments.push(spec);
@@ -153,7 +169,6 @@ pub struct LinkEmu {
 struct Queued {
     release_at: Instant,
     seq: u64,
-    to_learned_peer: bool,
     data: Vec<u8>,
 }
 
@@ -194,6 +209,11 @@ struct Direction {
     epoch: Instant,
     stats: Arc<DirStats>,
     stop: Arc<AtomicBool>,
+    /// Time-ordered release queue and its FIFO tie-break counter.
+    queue: BinaryHeap<Queued>,
+    seq: u64,
+    /// Virtual transmitter clock: when the "wire" frees up.
+    wire_free_at: Instant,
 }
 
 impl Direction {
@@ -208,12 +228,31 @@ impl Direction {
         );
     }
 
+    /// Offer one datagram to the link `extra_us` after now: DropTail
+    /// admission, then a slot on the transmit clock (every copy and every
+    /// injected datagram serializes separately), then propagation.
+    fn admit(&mut self, data: Vec<u8>, extra_us: u64) {
+        if self.queue.len() >= self.spec.queue_pkts {
+            self.stats.queue_drops.fetch_add(1, Ordering::Relaxed);
+            self.trace_drop(DropReason::Queue);
+            return;
+        }
+        let now = Instant::now();
+        // Per-fragment IP header overhead on the wire.
+        let fragments = data.len().div_ceil(self.spec.mtu).max(1);
+        let wire_bytes = data.len() + (fragments - 1) * 28;
+        let tx_time = Duration::from_secs_f64(wire_bytes as f64 * 8.0 / self.spec.rate_bps);
+        self.wire_free_at = self.wire_free_at.max(now) + tx_time;
+        self.queue.push(Queued {
+            release_at: self.wire_free_at + self.spec.delay + Duration::from_micros(extra_us),
+            seq: self.seq,
+            data,
+        });
+        self.seq += 1;
+    }
+
     fn run(mut self) {
         let mut rng = SmallRng::seed_from_u64(self.spec.seed);
-        let mut queue: BinaryHeap<Queued> = BinaryHeap::new();
-        let mut seq = 0u64;
-        // Virtual transmitter clock: when the "wire" frees up.
-        let mut wire_free_at = Instant::now();
         let mut buf = vec![0u8; 65_536];
         self.rx
             .set_read_timeout(Some(Duration::from_micros(200)))
@@ -225,15 +264,10 @@ impl Direction {
         while !self.stop.load(Ordering::Relaxed) {
             // Release everything due.
             let now = Instant::now();
-            while queue.peek().is_some_and(|q| q.release_at <= now) {
+            while self.queue.peek().is_some_and(|q| q.release_at <= now) {
                 // udt-lint: allow(unwrap) — pop after a successful peek is infallible
-                let q = queue.pop().expect("peeked");
-                let dest = if q.to_learned_peer {
-                    *self.learned_peer.lock()
-                } else {
-                    self.fixed_peer
-                };
-                if let Some(dest) = dest {
+                let q = self.queue.pop().expect("peeked");
+                if let Some(dest) = self.fixed_peer.or_else(|| *self.learned_peer.lock()) {
                     let _ = self.tx.send_to(&q.data, dest);
                     self.stats.forwarded.fetch_add(1, Ordering::Relaxed);
                 }
@@ -247,8 +281,8 @@ impl Direction {
                             *slot = Some(from);
                         }
                     }
-                    let fragments = n.div_ceil(self.spec.mtu).max(1);
                     if self.spec.loss_prob > 0.0 {
+                        let fragments = n.div_ceil(self.spec.mtu).max(1);
                         let survive = (1.0 - self.spec.loss_prob).powi(fragments as i32);
                         if rng.gen::<f64>() >= survive {
                             self.stats.random_drops.fetch_add(1, Ordering::Relaxed);
@@ -259,42 +293,28 @@ impl Direction {
                     // Impairment chain: may drop, delay, duplicate, or
                     // corrupt the datagram bytes in place.
                     let mut data = buf[..n].to_vec();
-                    let copies = if self.chain.is_empty() {
-                        vec![0u64]
+                    if self.chain.is_empty() {
+                        self.admit(data, 0);
+                        continue;
+                    }
+                    let now_us = self.epoch.elapsed().as_micros() as u64;
+                    let verdict = self.chain.apply(now_us, n, Some(&mut data));
+                    if verdict.dropped() {
+                        self.stats.chaos_drops.fetch_add(1, Ordering::Relaxed);
                     } else {
-                        let now_us = self.epoch.elapsed().as_micros() as u64;
-                        let verdict = self.chain.apply(now_us, n, Some(&mut data));
-                        if verdict.dropped() {
-                            self.stats.chaos_drops.fetch_add(1, Ordering::Relaxed);
-                            continue;
-                        }
                         self.stats
                             .chaos_dups
                             .fetch_add(verdict.copies.len() as u64 - 1, Ordering::Relaxed);
-                        verdict.copies
-                    };
-                    for extra_us in copies {
-                        if queue.len() >= self.spec.queue_pkts {
-                            self.stats.queue_drops.fetch_add(1, Ordering::Relaxed);
-                            self.trace_drop(DropReason::Queue);
-                            continue;
-                        }
-                        let now = Instant::now();
-                        // Per-fragment IP header overhead on the wire;
-                        // every copy serializes separately.
-                        let wire_bytes = n + (fragments - 1) * 28;
-                        let tx_time =
-                            Duration::from_secs_f64(wire_bytes as f64 * 8.0 / self.spec.rate_bps);
-                        wire_free_at = wire_free_at.max(now) + tx_time;
-                        queue.push(Queued {
-                            release_at: wire_free_at
-                                + self.spec.delay
-                                + Duration::from_micros(extra_us),
-                            seq,
-                            to_learned_peer: self.fixed_peer.is_none(),
-                            data: data.clone(),
-                        });
-                        seq += 1;
+                    }
+                    for extra_us in verdict.copies {
+                        self.admit(data.clone(), extra_us);
+                    }
+                    // Forgeries and replays cross the same link as the
+                    // traffic that provoked them — also when that packet
+                    // itself was dropped — so a delayed replay really
+                    // arrives after the original it duplicates.
+                    for inj in verdict.injections {
+                        self.admit(inj.data, inj.delay_us);
                     }
                 }
                 Err(e)
@@ -338,6 +358,9 @@ impl LinkEmu {
             epoch,
             stats: Arc::clone(&a_to_b),
             stop: Arc::clone(&stop),
+            queue: BinaryHeap::new(),
+            seq: 0,
+            wire_free_at: epoch,
         };
         let rev = Direction {
             rx: sock_b,
@@ -350,6 +373,9 @@ impl LinkEmu {
             epoch,
             stats: Arc::clone(&b_to_a),
             stop: Arc::clone(&stop),
+            queue: BinaryHeap::new(),
+            seq: 0,
+            wire_free_at: epoch,
         };
         let threads = vec![
             std::thread::Builder::new()
@@ -377,6 +403,18 @@ impl LinkEmu {
         LinkEmu::start(spec.clone(), spec, server)
     }
 
+    /// A pure fault injector in front of `server`: both directions
+    /// unshaped, each running its side of `scenario`. The scenario clock
+    /// (`now_us` of time-windowed impairments such as blackouts) starts
+    /// at 0 when this returns.
+    pub fn from_scenario(scenario: &Scenario, server: SocketAddr) -> io::Result<LinkEmu> {
+        let dir = |stages: &[ImpairmentSpec]| LinkSpec {
+            impairments: stages.to_vec(),
+            ..LinkSpec::unshaped(scenario.seed)
+        };
+        LinkEmu::start(dir(&scenario.forward), dir(&scenario.reverse), server)
+    }
+
     /// Per-stage impairment-chain counters of the A→B direction.
     pub fn fault_counters_a_to_b(&self) -> &[(&'static str, Arc<FaultCounters>)] {
         &self.a_to_b_faults
@@ -397,13 +435,8 @@ impl LinkEmu {
         self.addr_b
     }
 
-    /// Stop the relay threads and wait for them.
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
-    }
+    /// Stop the relay threads and wait for them (what dropping does).
+    pub fn shutdown(self) {}
 }
 
 impl Drop for LinkEmu {
@@ -423,14 +456,9 @@ mod tests {
         UdpSocket::bind("127.0.0.1:0").expect("bind")
     }
 
-    #[test]
-    fn relays_datagrams_both_ways() {
-        let server = udp();
-        let emu = LinkEmu::start_symmetric(
-            LinkSpec::clean(1e9, Duration::from_millis(1)),
-            server.local_addr().unwrap(),
-        )
-        .unwrap();
+    /// One ping/pong through `emu`, checking the server sees the relay's
+    /// server-facing address.
+    fn ping_pong(emu: &LinkEmu, server: &UdpSocket) {
         let client = udp();
         client.connect(emu.client_addr()).unwrap();
         client.send(b"ping").unwrap();
@@ -447,6 +475,166 @@ mod tests {
             .unwrap();
         let n = client.recv(&mut buf).unwrap();
         assert_eq!(&buf[..n], b"pong");
+    }
+
+    #[test]
+    fn relays_datagrams_both_ways() {
+        let server = udp();
+        let emu = LinkEmu::start_symmetric(
+            LinkSpec::clean(1e9, Duration::from_millis(1)),
+            server.local_addr().unwrap(),
+        )
+        .unwrap();
+        ping_pong(&emu, &server);
+        emu.shutdown();
+    }
+
+    #[test]
+    fn transparent_scenario_relays_both_ways() {
+        let server = udp();
+        let emu = LinkEmu::from_scenario(&Scenario::new("clear", 1), server.local_addr().unwrap())
+            .unwrap();
+        ping_pong(&emu, &server);
+        emu.shutdown();
+    }
+
+    #[test]
+    fn duplication_multiplies_deliveries() {
+        let server = udp();
+        let scenario = Scenario::new("dup", 3).forward(ImpairmentSpec::Duplicate {
+            prob: 1.0,
+            copies: 1,
+        });
+        let emu = LinkEmu::from_scenario(&scenario, server.local_addr().unwrap()).unwrap();
+        let client = udp();
+        client.connect(emu.client_addr()).unwrap();
+        for _ in 0..20 {
+            client.send(b"d").unwrap();
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        server
+            .set_read_timeout(Some(Duration::from_millis(500)))
+            .unwrap();
+        let mut buf = [0u8; 16];
+        let mut got = 0;
+        while server.recv_from(&mut buf).is_ok() {
+            got += 1;
+        }
+        assert_eq!(got, 40, "every datagram should arrive twice");
+        assert_eq!(emu.fault_counters_a_to_b()[0].1.snapshot().duplicated, 20);
+        assert_eq!(emu.a_to_b.forwarded.load(Ordering::Relaxed), 40);
+        emu.shutdown();
+    }
+
+    #[test]
+    fn total_loss_blocks_forward_direction_only() {
+        let server = udp();
+        let scenario = Scenario::new("mute", 5).forward(ImpairmentSpec::Bernoulli {
+            loss: 1.0,
+            mtu: None,
+        });
+        let emu = LinkEmu::from_scenario(&scenario, server.local_addr().unwrap()).unwrap();
+        let client = udp();
+        client.connect(emu.client_addr()).unwrap();
+        client.send(b"lost").unwrap();
+        let mut buf = [0u8; 16];
+        server
+            .set_read_timeout(Some(Duration::from_millis(200)))
+            .unwrap();
+        assert!(
+            server.recv_from(&mut buf).is_err(),
+            "forward direction should be mute"
+        );
+        // The relay learned the client before the chain dropped its
+        // datagram, so the (transparent) reverse path still delivers.
+        server.send_to(b"back", emu.server_facing_addr()).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(2)))
+            .unwrap();
+        let n = client.recv(&mut buf).unwrap();
+        assert_eq!(&buf[..n], b"back");
+        assert_eq!(emu.fault_counters_a_to_b()[0].1.snapshot().dropped, 1);
+        emu.shutdown();
+    }
+
+    #[test]
+    fn drop_during_blackout_shuts_down_promptly() {
+        let server = udp();
+        // Blackout active from t=0 for 60 s: packets pile up dropped and
+        // nothing is released, the worst case for a sleepy relay loop.
+        let scenario = Scenario::new("dark", 9)
+            .both(ImpairmentSpec::Blackout {
+                start_us: 0,
+                duration_us: 60_000_000,
+                period_us: None,
+            })
+            .both(ImpairmentSpec::Jitter { max_us: 50_000 });
+        let emu = LinkEmu::from_scenario(&scenario, server.local_addr().unwrap()).unwrap();
+        let client = udp();
+        client.connect(emu.client_addr()).unwrap();
+        for _ in 0..50 {
+            client.send(b"x").unwrap();
+        }
+        std::thread::sleep(Duration::from_millis(20));
+        let t0 = Instant::now();
+        drop(emu);
+        assert!(
+            t0.elapsed() < Duration::from_millis(500),
+            "relay drop took {:?}",
+            t0.elapsed()
+        );
+    }
+
+    #[test]
+    fn adversary_stage_injects_forgeries_even_past_a_drop() {
+        let server = udp();
+        // A shaped link whose chain forges one Shutdown at the first
+        // packet it sees and then loses that packet: the forgery alone
+        // must reach the server socket.
+        let fwd = LinkSpec::clean(1e9, Duration::from_millis(1))
+            .impair(ImpairmentSpec::Adversary {
+                forge_data: 0.0,
+                forge_ack: 0.0,
+                replay: 0.0,
+                tag_flip: 0.0,
+                forge_shutdown_after: Some(1),
+            })
+            .impair(ImpairmentSpec::Bernoulli {
+                loss: 1.0,
+                mtu: None,
+            });
+        let emu = LinkEmu::start(
+            fwd,
+            LinkSpec::clean(1e9, Duration::ZERO),
+            server.local_addr().unwrap(),
+        )
+        .unwrap();
+        let client = udp();
+        client.connect(emu.client_addr()).unwrap();
+        // A data packet toward connection 0xAB: seq, timestamp, conn id.
+        let mut pkt = Vec::new();
+        pkt.extend_from_slice(&1000u32.to_be_bytes());
+        pkt.extend_from_slice(&0u32.to_be_bytes());
+        pkt.extend_from_slice(&0xABu32.to_be_bytes());
+        pkt.extend_from_slice(&[0x55; 64]);
+        client.send(&pkt).unwrap();
+        server
+            .set_read_timeout(Some(Duration::from_millis(500)))
+            .unwrap();
+        let mut buf = [0u8; 128];
+        let (n, _) = server.recv_from(&mut buf).expect("forged datagram");
+        assert_eq!(&buf[..4], &0x8005_0000u32.to_be_bytes(), "Shutdown header");
+        assert_eq!(
+            &buf[12..n],
+            &0xABu32.to_be_bytes(),
+            "aimed at the observed id"
+        );
+        assert!(
+            server.recv_from(&mut buf).is_err(),
+            "the original was dropped"
+        );
+        assert_eq!(emu.fault_counters_a_to_b()[0].1.snapshot().injected, 1);
+        assert_eq!(emu.a_to_b.chaos_drops.load(Ordering::Relaxed), 1);
         emu.shutdown();
     }
 

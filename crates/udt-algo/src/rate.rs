@@ -26,7 +26,7 @@
 //! bounded number of additional randomized decreases (at most 5, i.e. rate
 //! ≥ 0.875⁵ ≈ ½ of the pre-congestion rate) spreads flow back-off within an
 //! event. Set [`UdtCcConfig::per_nak_decrease`] for the paper-literal
-//! behaviour (ablation `exp_abl_*`).
+//! behaviour (ablation `bench exp abl_*`).
 //!
 //! Bandwidth estimation (§3.4): the receiver's packet-pair filter yields the
 //! link capacity `L` (packets/s, shipped in every full ACK). The available
@@ -104,7 +104,7 @@ pub trait RateControl: Send {
 #[derive(Debug, Clone)]
 pub struct UdtCcConfig {
     /// Rate-control interval, microseconds (the SYN constant; §3.7 discusses
-    /// the trade-off this sets — sweep it with `exp_abl_syn`).
+    /// the trade-off this sets — sweep it with `bench exp abl_syn`).
     pub syn_us: f64,
     /// Use the bandwidth-estimation-driven increase (formula 1). When
     /// `false` the fixed increase `fixed_inc_pkts` is used instead
@@ -135,7 +135,7 @@ impl Default for UdtCcConfig {
 /// bandwidth of `bw_avail_bits` bits/second and segment size `mss` bytes.
 ///
 /// Exposed as a free function so Table 1 can be pinned by tests and printed
-/// by `exp_tbl1`.
+/// by `bench exp tbl1`.
 pub fn increase_param(bw_avail_bits: f64, mss: u32) -> f64 {
     let mss = f64::from(mss);
     if bw_avail_bits <= 0.0 {

@@ -5,7 +5,7 @@
 //! the same constant SYN interval. The paper replaced it because, per Chiu
 //! and Jain's analysis, MIMD does not converge to a fairness equilibrium:
 //! two SABUL flows keep whatever rate ratio they start with (shown by
-//! `exp_abl_sabul`). Efficiency is comparable to UDT, which is exactly the
+//! `bench exp abl_sabul`). Efficiency is comparable to UDT, which is exactly the
 //! paper's point: the congestion-control change bought fairness, not speed.
 
 // Numeric casts in this module are deliberate: bounded protocol arithmetic,

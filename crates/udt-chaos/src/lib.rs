@@ -3,13 +3,15 @@
 //! The paper's hardest results are about behaviour under adversity:
 //! loss-driven AIMD response (Figs 2–7), fragmentation "segmentation
 //! collapse" (Fig 15), and concurrent-flow fairness. This crate provides a
-//! reusable, seeded impairment pipeline that all three packet paths in the
+//! reusable, seeded impairment pipeline that both packet paths in the
 //! workspace share:
 //!
 //! * `netsim` links (virtual time, packet metadata only),
-//! * the `linkemu` UDP relay (real sockets, raw datagrams),
-//! * the in-process [`relay::ChaosRelay`] harness between two real `udt`
-//!   sockets.
+//! * the `linkemu` UDP relay (real sockets, raw datagrams) — shaped, or
+//!   as a pure fault injector (`LinkEmu::from_scenario`).
+//!
+//! The crate itself is pure computation: it opens no socket and spawns no
+//! thread.
 //!
 //! # Model
 //!
@@ -36,7 +38,6 @@ use udt_metrics::counters::FaultCounters;
 use udt_trace::{EventKind, Label, Tracer};
 
 pub mod impairments;
-pub mod relay;
 pub mod scenario;
 
 pub use scenario::{Direction, ImpairmentSpec, Scenario};
@@ -47,7 +48,7 @@ pub struct ChaosPacket<'a> {
     pub index: u64,
     /// Wire size in bytes.
     pub size: usize,
-    /// Raw datagram bytes when the layer has them (linkemu / relay);
+    /// Raw datagram bytes when the layer has them (linkemu);
     /// `None` inside the discrete-event simulator.
     pub data: Option<&'a mut Vec<u8>>,
 }
@@ -183,11 +184,6 @@ impl ImpairmentChain {
             tracer: Tracer::disabled(),
             trace_conn: 0,
         }
-    }
-
-    /// Empty chain (passes everything).
-    pub fn passthrough() -> ImpairmentChain {
-        ImpairmentChain::new(Vec::new())
     }
 
     /// Record every injected fault for later replay comparison.

@@ -1,8 +1,8 @@
 //! Declarative impairment scenarios.
 //!
 //! A [`Scenario`] is data: a name, a master seed, and per-direction lists
-//! of [`ImpairmentSpec`]s. Every layer (netsim, linkemu, the relay
-//! harness) calls [`Scenario::build`] to turn the description into a live
+//! of [`ImpairmentSpec`]s. Every layer (netsim, linkemu) calls
+//! [`Scenario::build`] to turn the description into a live
 //! [`ImpairmentChain`]; each stage's RNG seed is derived from
 //! `(master seed, direction, stage index)`, so the two directions draw
 //! independent random streams and inserting a stage does not perturb the
@@ -259,7 +259,7 @@ impl Scenario {
     }
 }
 
-/// Canned scenarios used by tests and the `exp_chaos` experiment.
+/// Canned scenarios used by tests and the `bench exp chaos` experiment.
 pub mod presets {
     use super::*;
 

@@ -929,7 +929,6 @@ pub fn scope_for(rel: &Path) -> Scope {
         || p.ends_with("udt/src/conn.rs")
         || p.ends_with("udt/src/pool.rs")
         || p.ends_with("udt/src/mmsg.rs")
-        || p.ends_with("udt-chaos/src/relay.rs")
         || (p.contains("udt-algo/src/conn/") && !test_file);
     let ffi = crate::unsafe_audit::is_ffi_allowlisted(&p);
     Scope {
@@ -1158,7 +1157,6 @@ mod tests {
         assert!(scope_for(Path::new("crates/udt/src/conn.rs")).hot_alloc);
         assert!(scope_for(Path::new("crates/udt/src/pool.rs")).hot_alloc);
         assert!(scope_for(Path::new("crates/udt/src/mmsg.rs")).hot_alloc);
-        assert!(scope_for(Path::new("crates/udt-chaos/src/relay.rs")).hot_alloc);
         assert!(scope_for(Path::new("crates/udt-algo/src/conn/snd.rs")).hot_alloc);
         assert!(scope_for(Path::new("crates/udt-algo/src/conn/rcv.rs")).hot_alloc);
         assert!(!scope_for(Path::new("crates/udt-algo/src/conn/tests.rs")).hot_alloc);

@@ -23,7 +23,7 @@ const LOCK_ORDER: &[&str] = &["conn_table", "snd", "rcv", "threads"];
 const BAD: &[(&str, &str, &str)] = &[
     ("guard_if_let_pool.rs", "crates/udt/src/pool.rs", "guard-liveness"),
     ("guard_relock.rs", "crates/udt/src/mux.rs", "guard-liveness"),
-    ("guard_channel_send.rs", "crates/udt-chaos/src/relay.rs", "guard-liveness"),
+    ("guard_channel_send.rs", "crates/linkemu/src/lib.rs", "guard-liveness"),
     ("unsafe_no_safety.rs", "crates/udt/src/mmsg.rs", "unsafe-audit"),
     ("unsafe_outside_allowlist.rs", "crates/udt/src/mux.rs", "unsafe-audit"),
     ("ffi_temp_pointer.rs", "crates/udt/src/mmsg.rs", "ffi-contract"),
@@ -38,7 +38,7 @@ const BAD: &[(&str, &str, &str)] = &[
 const GOOD: &[(&str, &str)] = &[
     ("guard_if_let_pool.rs", "crates/udt/src/pool.rs"),
     ("guard_relock.rs", "crates/udt/src/mux.rs"),
-    ("guard_channel_send.rs", "crates/udt-chaos/src/relay.rs"),
+    ("guard_channel_send.rs", "crates/linkemu/src/lib.rs"),
     ("unsafe_no_safety.rs", "crates/udt/src/mmsg.rs"),
     ("unsafe_outside_allowlist.rs", "crates/udt/src/mux.rs"),
     ("ffi_temp_pointer.rs", "crates/udt/src/mmsg.rs"),

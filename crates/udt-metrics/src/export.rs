@@ -1,7 +1,6 @@
 //! Dependency-free exporters for [`RegistrySnapshot`]: the
-//! OpenMetrics/Prometheus text format (and a parser for it, so the
-//! scrape pipeline is round-trip tested end to end) plus single-line
-//! JSONL samples for file-based collection.
+//! OpenMetrics/Prometheus text format, and a parser for it, so the
+//! scrape pipeline is round-trip tested end to end.
 //!
 //! Histograms render in the standard cumulative-`le` form, with two
 //! non-standard extra series (`<name>_min` / `<name>_max`) carrying the
@@ -336,64 +335,6 @@ pub fn parse_openmetrics(text: &str) -> Result<RegistrySnapshot, String> {
     Ok(RegistrySnapshot { families })
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Render a snapshot as one JSONL line: scalar series verbatim,
-/// histograms condensed to count/sum/min/max and the dashboard
-/// percentiles. `t_ns` is the caller's sample timestamp.
-pub fn to_jsonl(snap: &RegistrySnapshot, t_ns: u64) -> String {
-    let mut rows = Vec::new();
-    for f in &snap.families {
-        for s in &f.series {
-            let labels: Vec<String> = s
-                .labels
-                .iter()
-                .map(|(k, v)| format!("\"{}\":\"{}\"", json_escape(k), json_escape(v)))
-                .collect();
-            let head = format!(
-                "\"name\":\"{}\",\"labels\":{{{}}}",
-                json_escape(&f.name),
-                labels.join(",")
-            );
-            let row = match &s.value {
-                SampleValue::Counter(v) => format!("{{{head},\"kind\":\"counter\",\"value\":{v}}}"),
-                SampleValue::Gauge(v) => {
-                    let v = if v.is_finite() { *v } else { 0.0 };
-                    format!("{{{head},\"kind\":\"gauge\",\"value\":{v}}}")
-                }
-                SampleValue::Hist(h) => format!(
-                    "{{{head},\"kind\":\"histogram\",\"count\":{},\"sum\":{},\"min\":{},\
-                     \"max\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"p999\":{}}}",
-                    h.count(),
-                    h.sum,
-                    h.min,
-                    h.max,
-                    h.p50(),
-                    h.p90(),
-                    h.p99(),
-                    h.p999()
-                ),
-            };
-            rows.push(row);
-        }
-    }
-    format!("{{\"t_ns\":{t_ns},\"series\":[{}]}}", rows.join(","))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -470,16 +411,6 @@ mod tests {
         assert!(text.contains("udt_conn_rtt_us_count{conn=\"a1\"} 8"));
         assert!(text.contains("udt_listener_rate_limited{listener=\"9000\"} 9"));
         assert!(text.ends_with("# EOF\n"));
-    }
-
-    #[test]
-    fn jsonl_line_is_single_line_with_percentiles() {
-        let line = to_jsonl(&demo_registry().snapshot(), 123);
-        assert!(!line.contains('\n'));
-        assert!(line.starts_with("{\"t_ns\":123,"));
-        assert!(line.contains("\"name\":\"udt_conn_rtt_us\""));
-        assert!(line.contains("\"p50\":"));
-        assert!(line.contains("\"kind\":\"gauge\",\"value\":0.375"));
     }
 
     #[test]

@@ -29,8 +29,28 @@ fn slug(reason: &str) -> String {
         .collect()
 }
 
-/// Write `events` (sorted by timestamp) as JSONL under `dir`, returning
-/// the path written. Creates `dir` if needed.
+/// Write `events` as JSONL at `path`, one event per line, sorted by
+/// timestamp: the ring preserves push order, but clones feeding one ring
+/// from several threads can interleave slightly out of order, and exports
+/// are canonically time-sorted. Returns the event count. Every exporter
+/// (flight dumps, `bench exp fig7 --trace`) funnels through here, so files
+/// on disk always match the schema [`json::parse_line`] validates.
+pub fn write_jsonl(path: &Path, events: &[TraceEvent]) -> std::io::Result<usize> {
+    let mut sorted: Vec<&TraceEvent> = events.iter().collect();
+    sorted.sort_by_key(|e| e.t_ns);
+    let mut out = String::with_capacity(sorted.len() * 128 + 16);
+    for ev in sorted {
+        out.push_str(&json::encode(ev));
+        out.push('\n');
+    }
+    let mut f = fs::File::create(path)?;
+    f.write_all(out.as_bytes())?;
+    f.flush()?;
+    Ok(events.len())
+}
+
+/// Write `events` as a flight recording under `dir`, returning the path
+/// written. Creates `dir` if needed.
 pub fn dump_events(
     dir: &Path,
     conn: u32,
@@ -39,16 +59,7 @@ pub fn dump_events(
 ) -> std::io::Result<PathBuf> {
     fs::create_dir_all(dir)?;
     let path = dir.join(format!("udt-flight-{conn:08x}-{}.jsonl", slug(reason)));
-    let mut sorted: Vec<&TraceEvent> = events.iter().collect();
-    sorted.sort_by_key(|e| e.t_ns);
-    let mut out = String::with_capacity(sorted.len() * 128 + 16);
-    for ev in sorted {
-        out.push_str(&json::encode(ev));
-        out.push('\n');
-    }
-    let mut f = fs::File::create(&path)?;
-    f.write_all(out.as_bytes())?;
-    f.flush()?;
+    write_jsonl(&path, events)?;
     Ok(path)
 }
 

@@ -1,10 +1,13 @@
-//! Hand-rolled JSONL / CSV codec for trace events.
+//! Hand-rolled JSONL / CSV codec for trace events, and the workspace's
+//! JSON value parser.
 //!
 //! One flat JSON object per line, no external dependencies. The `"ev"`
 //! field names the variant; every other field is a scalar (or, for the
 //! CPU breakdown, an array of integers). [`parse_line`] is the inverse of
 //! [`encode`] — the *shared parser* that the netsim, real-socket and
-//! linkemu exporters are all validated against.
+//! linkemu exporters are all validated against. Underneath it sits
+//! [`parse`], a general (nested, linear-time) JSON reader that
+//! `bench regress` also uses for the `BENCH_*.json` artifacts.
 
 // The two float→integer casts below are integral- and range-checked at the
 // cast sites (tolerating numbers an external tool re-serialised as floats).
@@ -133,14 +136,8 @@ pub fn encode(ev: &TraceEvent) -> String {
             field_u(&mut s, "delivered", *delivered);
         }
         EventKind::CpuBreakdown { nanos } => {
-            s.push_str(",\"nanos\":[");
-            for (i, n) in nanos.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                push_u64(&mut s, *n);
-            }
-            s.push(']');
+            key(&mut s, "nanos");
+            Value::Arr(nanos.iter().map(|n| Value::UInt(*n)).collect()).render_into(&mut s);
         }
         EventKind::PathUp { path } | EventKind::PathDown { path } => {
             field_u(&mut s, "path", u64::from(*path));
@@ -188,7 +185,7 @@ pub const CSV_HEADER: &str = "t_ns,conn,ev,detail";
 pub fn to_csv_row(ev: &TraceEvent) -> String {
     let json = encode(ev);
     let mut detail = String::new();
-    if let Ok(fields) = parse_object(&json) {
+    if let Ok(Value::Obj(fields)) = parse(&json) {
         for (k, v) in fields {
             if k == "t_ns" || k == "conn" || k == "ev" {
                 continue;
@@ -204,30 +201,45 @@ pub fn to_csv_row(ev: &TraceEvent) -> String {
                 Value::Bool(b) => detail.push_str(if b { "true" } else { "false" }),
                 Value::Str(sv) => detail.push_str(&sv),
                 Value::Arr(a) => {
-                    let parts: Vec<String> = a.iter().map(u64::to_string).collect();
+                    let parts: Vec<String> = a
+                        .iter()
+                        .filter_map(Value::as_u64)
+                        .map(|u| u.to_string())
+                        .collect();
                     detail.push_str(&parts.join(";"));
                 }
+                Value::Obj(_) | Value::Null => {}
             }
         }
     }
     format!("{},{},{},{}", ev.t_ns, ev.conn, ev.kind.name(), detail)
 }
 
-/// A parsed JSON scalar (or integer array) value.
+/// A parsed JSON value. Objects keep their key order.
 #[derive(Debug, Clone, PartialEq)]
-enum Value {
+pub enum Value {
+    /// A non-negative integer that fits `u64` (written without `.`/`e`).
     UInt(u64),
+    /// Any other number.
     Float(f64),
+    /// `true` / `false`.
     Bool(bool),
+    /// A string.
     Str(String),
-    Arr(Vec<u64>),
+    /// An array.
+    Arr(Vec<Value>),
+    /// An object, as `(key, value)` pairs in document order.
+    Obj(Vec<(String, Value)>),
+    /// `null`.
+    Null,
 }
 
 impl Value {
-    fn as_u64(&self) -> Option<u64> {
+    /// Unsigned view. Tolerates integral floats (numbers an external tool
+    /// re-serialised).
+    pub fn as_u64(&self) -> Option<u64> {
         match self {
             Value::UInt(u) => Some(*u),
-            // Tolerate numbers an external tool re-serialised as floats.
             Value::Float(f) if f.fract() == 0.0 && *f >= 0.0 && *f < 1.8e19 => Some(*f as u64),
             _ => None,
         }
@@ -237,7 +249,8 @@ impl Value {
         self.as_u64().and_then(|u| u32::try_from(u).ok())
     }
 
-    fn as_f64(&self) -> Option<f64> {
+    /// Numeric view: integers and floats unify to `f64`.
+    pub fn as_f64(&self) -> Option<f64> {
         match self {
             Value::UInt(u) => Some(*u as f64),
             Value::Float(f) => Some(*f),
@@ -245,10 +258,75 @@ impl Value {
         }
     }
 
-    fn as_str(&self) -> Option<&str> {
+    /// String view.
+    pub fn as_str(&self) -> Option<&str> {
         match self {
             Value::Str(s) => Some(s),
             _ => None,
+        }
+    }
+
+    /// Boolean view.
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Value::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
+    /// Object field lookup (first match).
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        match self {
+            Value::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// Array items.
+    pub fn items(&self) -> Option<&[Value]> {
+        match self {
+            Value::Arr(items) => Some(items),
+            _ => None,
+        }
+    }
+
+    /// Render as compact single-line JSON — what [`parse`] reads back
+    /// (non-finite floats render as 0, like the event encoder's).
+    pub fn render(&self) -> String {
+        let mut s = String::with_capacity(256);
+        self.render_into(&mut s);
+        s
+    }
+
+    fn render_into(&self, s: &mut String) {
+        let mut sep = "";
+        match self {
+            Value::UInt(u) => push_u64(s, *u),
+            Value::Float(f) if f.is_finite() => s.push_str(&f.to_string()),
+            Value::Float(_) => s.push('0'),
+            Value::Bool(b) => s.push_str(if *b { "true" } else { "false" }),
+            Value::Str(text) => push_str_escaped(s, text),
+            Value::Null => s.push_str("null"),
+            Value::Arr(items) => {
+                s.push('[');
+                for item in items {
+                    s.push_str(sep);
+                    item.render_into(s);
+                    sep = ",";
+                }
+                s.push(']');
+            }
+            Value::Obj(fields) => {
+                s.push('{');
+                for (k, v) in fields {
+                    s.push_str(sep);
+                    push_str_escaped(s, k);
+                    s.push(':');
+                    v.render_into(s);
+                    sep = ",";
+                }
+                s.push('}');
+            }
         }
     }
 }
@@ -259,10 +337,11 @@ impl Value {
 /// event. This is the shared schema validator used by the integration
 /// tests: netsim and real-socket exports must both survive it.
 pub fn parse_line(line: &str) -> Result<TraceEvent, String> {
-    let fields = parse_object(line)?;
-    let get = |name: &str| -> Option<&Value> {
-        fields.iter().find(|(k, _)| k == name).map(|(_, v)| v)
-    };
+    let obj = parse(line)?;
+    if !matches!(obj, Value::Obj(_)) {
+        return Err("not a JSON object".into());
+    }
+    let get = |name: &str| obj.get(name);
     let t_ns = get("t_ns")
         .and_then(Value::as_u64)
         .ok_or("missing t_ns")?;
@@ -390,18 +469,16 @@ pub fn parse_line(line: &str) -> Result<TraceEvent, String> {
             delivered: req_u64("delivered")?,
         },
         "cpu" => {
-            let arr = match get("nanos") {
-                Some(Value::Arr(a)) => a,
-                _ => return Err(format!("cpu: missing nanos in {line}")),
-            };
-            if arr.len() != CPU_CATEGORY_COUNT {
-                return Err(format!(
+            let arr: Vec<u64> = get("nanos")
+                .and_then(Value::items)
+                .and_then(|a| a.iter().map(Value::as_u64).collect())
+                .ok_or_else(|| format!("cpu: missing nanos in {line}"))?;
+            let nanos = <[u64; CPU_CATEGORY_COUNT]>::try_from(arr).map_err(|a| {
+                format!(
                     "cpu: expected {CPU_CATEGORY_COUNT} categories, got {}",
-                    arr.len()
-                ));
-            }
-            let mut nanos = [0u64; CPU_CATEGORY_COUNT];
-            nanos.copy_from_slice(arr);
+                    a.len()
+                )
+            })?;
             EventKind::CpuBreakdown { nanos }
         }
         "path_up" => EventKind::PathUp {
@@ -447,36 +524,22 @@ pub fn parse_line(line: &str) -> Result<TraceEvent, String> {
     Ok(TraceEvent { t_ns, conn, kind })
 }
 
-// ---- minimal flat-object JSON parsing ----
+// ---- JSON value parsing ----
 
-fn parse_object(line: &str) -> Result<Vec<(String, Value)>, String> {
+/// Parse one JSON document. Linear in the input: every byte is looked at
+/// once, and strings are copied out in runs rather than a character at a
+/// time.
+pub fn parse(text: &str) -> Result<Value, String> {
     let mut p = Parser {
-        b: line.trim().as_bytes(),
+        b: text.as_bytes(),
         i: 0,
     };
+    let v = p.value()?;
     p.skip_ws();
-    p.eat(b'{')?;
-    let mut out = Vec::new();
-    p.skip_ws();
-    if p.peek() == Some(b'}') {
-        return Ok(out);
+    if p.i != p.b.len() {
+        return Err(format!("trailing bytes at offset {}", p.i));
     }
-    loop {
-        p.skip_ws();
-        let key = p.string()?;
-        p.skip_ws();
-        p.eat(b':')?;
-        p.skip_ws();
-        let val = p.value()?;
-        out.push((key, val));
-        p.skip_ws();
-        match p.bump() {
-            Some(b',') => {}
-            Some(b'}') => break,
-            _ => return Err("expected ',' or '}'".into()),
-        }
-    }
-    Ok(out)
+    Ok(v)
 }
 
 struct Parser<'a> {
@@ -507,7 +570,7 @@ impl Parser<'_> {
         if self.bump() == Some(c) {
             Ok(())
         } else {
-            Err(format!("expected {:?}", char::from(c)))
+            Err(format!("expected {:?} at offset {}", char::from(c), self.i))
         }
     }
 
@@ -515,6 +578,14 @@ impl Parser<'_> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote or escape in one piece; the
+            // input is a `&str` and both delimiters are ASCII, so the run
+            // is valid UTF-8.
+            let start = self.i;
+            while !matches!(self.peek(), Some(b'"' | b'\\') | None) {
+                self.i += 1;
+            }
+            out.push_str(std::str::from_utf8(&self.b[start..self.i]).map_err(|e| e.to_string())?);
             match self.bump() {
                 Some(b'"') => return Ok(out),
                 Some(b'\\') => match self.bump() {
@@ -524,6 +595,8 @@ impl Parser<'_> {
                     Some(b'n') => out.push('\n'),
                     Some(b't') => out.push('\t'),
                     Some(b'r') => out.push('\r'),
+                    Some(b'b') => out.push('\u{8}'),
+                    Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
                         let mut code = 0u32;
                         for _ in 0..4 {
@@ -531,78 +604,76 @@ impl Parser<'_> {
                             let v = char::from(d).to_digit(16).ok_or("bad \\u escape")?;
                             code = code * 16 + v;
                         }
+                        // Our writers only escape control characters;
+                        // surrogate pairs are out of scope.
                         out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
                     }
                     _ => return Err("bad escape".into()),
                 },
-                Some(c) if c < 0x80 => out.push(char::from(c)),
-                Some(c) => {
-                    // Re-assemble multi-byte UTF-8 from the raw input.
-                    let start = self.i - 1;
-                    let width = match c {
-                        0xC0..=0xDF => 2,
-                        0xE0..=0xEF => 3,
-                        _ => 4,
-                    };
-                    let end = (start + width).min(self.b.len());
-                    if let Ok(s) = std::str::from_utf8(&self.b[start..end]) {
-                        out.push_str(s);
-                    }
-                    self.i = end;
-                }
-                None => return Err("unterminated string".into()),
+                _ => return Err("unterminated string".into()),
             }
         }
     }
 
     fn value(&mut self) -> Result<Value, String> {
+        self.skip_ws();
         match self.peek() {
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b't') => {
-                self.lit("true")?;
-                Ok(Value::Bool(true))
-            }
-            Some(b'f') => {
-                self.lit("false")?;
-                Ok(Value::Bool(false))
-            }
+            Some(b't') => self.lit("true", Value::Bool(true)),
+            Some(b'f') => self.lit("false", Value::Bool(false)),
+            Some(b'n') => self.lit("null", Value::Null),
             Some(b'[') => {
                 self.i += 1;
-                let mut arr = Vec::new();
+                let mut items = Vec::new();
                 self.skip_ws();
                 if self.peek() == Some(b']') {
                     self.i += 1;
-                    return Ok(Value::Arr(arr));
+                    return Ok(Value::Arr(items));
                 }
                 loop {
-                    self.skip_ws();
-                    match self.number()? {
-                        Value::UInt(u) => arr.push(u),
-                        Value::Float(f) if f.fract() == 0.0 && f >= 0.0 => {
-                            arr.push(f as u64);
-                        }
-                        _ => return Err("non-integer array element".into()),
-                    }
+                    items.push(self.value()?);
                     self.skip_ws();
                     match self.bump() {
                         Some(b',') => {}
-                        Some(b']') => break,
-                        _ => return Err("expected ',' or ']'".into()),
+                        Some(b']') => return Ok(Value::Arr(items)),
+                        _ => return Err(format!("expected ',' or ']' at offset {}", self.i)),
                     }
                 }
-                Ok(Value::Arr(arr))
+            }
+            Some(b'{') => {
+                self.i += 1;
+                let mut fields = Vec::new();
+                self.skip_ws();
+                if self.peek() == Some(b'}') {
+                    self.i += 1;
+                    return Ok(Value::Obj(fields));
+                }
+                loop {
+                    self.skip_ws();
+                    let key = self.string()?;
+                    self.skip_ws();
+                    self.eat(b':')?;
+                    fields.push((key, self.value()?));
+                    self.skip_ws();
+                    match self.bump() {
+                        Some(b',') => {}
+                        Some(b'}') => return Ok(Value::Obj(fields)),
+                        _ => return Err(format!("expected ',' or '}}' at offset {}", self.i)),
+                    }
+                }
             }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err("unexpected value".into()),
+            Some(c) => Err(format!("unexpected byte {c:#04x} at offset {}", self.i)),
+            None => Err("unexpected end of input".into()),
         }
     }
 
-    fn lit(&mut self, s: &str) -> Result<(), String> {
+    fn lit(&mut self, s: &str, v: Value) -> Result<Value, String> {
         if self.b[self.i..].starts_with(s.as_bytes()) {
             self.i += s.len();
-            Ok(())
+            Ok(v)
         } else {
-            Err(format!("expected {s}"))
+            Err(format!("expected {s} at offset {}", self.i))
         }
     }
 
@@ -615,18 +686,14 @@ impl Parser<'_> {
             self.i += 1;
         }
         let text = std::str::from_utf8(&self.b[start..self.i]).map_err(|_| "bad number")?;
-        if text.is_empty() {
-            return Err("empty number".into());
-        }
         if text.bytes().all(|c| c.is_ascii_digit()) {
-            text.parse::<u64>()
-                .map(Value::UInt)
-                .map_err(|e| e.to_string())
-        } else {
-            text.parse::<f64>()
-                .map(Value::Float)
-                .map_err(|e| e.to_string())
+            if let Ok(u) = text.parse::<u64>() {
+                return Ok(Value::UInt(u));
+            }
         }
+        text.parse::<f64>()
+            .map(Value::Float)
+            .map_err(|e| format!("bad number {text:?} at offset {start}: {e}"))
     }
 }
 
@@ -634,37 +701,37 @@ fn push_u64(s: &mut String, v: u64) {
     s.push_str(&v.to_string());
 }
 
-fn field_u(s: &mut String, name: &str, v: u64) {
+fn key(s: &mut String, name: &str) {
     s.push_str(",\"");
     s.push_str(name);
     s.push_str("\":");
+}
+
+fn field_u(s: &mut String, name: &str, v: u64) {
+    key(s, name);
     push_u64(s, v);
 }
 
 fn field_bool(s: &mut String, name: &str, v: bool) {
-    s.push_str(",\"");
-    s.push_str(name);
-    s.push_str("\":");
-    s.push_str(if v { "true" } else { "false" });
+    key(s, name);
+    Value::Bool(v).render_into(s);
 }
 
 fn field_f(s: &mut String, name: &str, v: f64) {
-    s.push_str(",\"");
-    s.push_str(name);
-    s.push_str("\":");
-    if v.is_finite() {
-        // Rust's float Display is the shortest round-trippable form and
-        // never produces NaN/inf here.
-        s.push_str(&v.to_string());
-    } else {
-        s.push('0');
-    }
+    key(s, name);
+    // Rust's float Display is the shortest round-trippable form; NaN/inf
+    // render as 0.
+    Value::Float(v).render_into(s);
 }
 
 fn field_str(s: &mut String, name: &str, v: &str) {
-    s.push_str(",\"");
-    s.push_str(name);
-    s.push_str("\":\"");
+    key(s, name);
+    push_str_escaped(s, v);
+}
+
+/// Append `v` as a quoted JSON string.
+fn push_str_escaped(s: &mut String, v: &str) {
+    s.push('"');
     for c in v.chars() {
         match c {
             '"' => s.push_str("\\\""),

@@ -58,10 +58,12 @@ pub(crate) struct AuthCtx {
     /// Where to dump a flight recording when a forged-packet storm is
     /// detected (`None`: no dumps).
     pub flight_dir: Option<PathBuf>,
-    /// Bad-tag count that triggers the one-shot storm dump.
-    pub storm_threshold: u64,
     storm_fired: AtomicBool,
 }
+
+/// Bad-tag count after which an authenticated connection dumps one flight
+/// recording (reason `auth-storm`) into its `flight_dir`.
+const STORM_THRESHOLD: u64 = 64;
 
 impl AuthCtx {
     pub fn new(
@@ -70,7 +72,6 @@ impl AuthCtx {
         tracer: Tracer,
         local_id: u32,
         flight_dir: Option<PathBuf>,
-        storm_threshold: u64,
     ) -> AuthCtx {
         AuthCtx {
             tx_key,
@@ -80,7 +81,6 @@ impl AuthCtx {
             tracer,
             local_id,
             flight_dir,
-            storm_threshold,
             storm_fired: AtomicBool::new(false),
         }
     }
@@ -129,7 +129,7 @@ impl AuthCtx {
         self.tracer
             .emit(self.local_id, EventKind::AuthFail { seq: seq_hint });
         let bad = self.counters.snapshot().tags_bad;
-        if bad >= self.storm_threshold
+        if bad >= STORM_THRESHOLD
             && !self.storm_fired.swap(true, Ordering::Relaxed)
         {
             if let Some(dir) = &self.flight_dir {
@@ -152,7 +152,6 @@ mod tests {
             Tracer::disabled(),
             7,
             None,
-            64,
         )
     }
 

@@ -1,6 +1,6 @@
 //! `udtmon` — live terminal monitor for UDT trace timelines.
 //!
-//! Tails a JSONL trace file (from `udtperf --trace`, `exp_fig7 --trace`,
+//! Tails a JSONL trace file (from `udtperf --trace`, `bench exp fig7 --trace`,
 //! or a flight-recorder dump) and renders a per-connection summary table:
 //! packet/ACK/NAK counts, retransmissions, drops, injected chaos faults,
 //! and the latest RTT / rate / window / bandwidth observations. The §7

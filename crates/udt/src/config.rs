@@ -102,9 +102,6 @@ pub struct UdtConfig {
     /// 128-bit pre-shared key the authenticated profile derives all
     /// per-connection MAC keys from. Unused while `auth` is `Off`.
     pub auth_key: Option<PreSharedKey>,
-    /// Bad-tag count after which an authenticated connection dumps one
-    /// flight recording (reason `auth-storm`) into `flight_dir`.
-    pub auth_storm_threshold: u64,
     /// Batched datapath: maximum datagrams drained from the UDP socket per
     /// demultiplexer wakeup (one `recvmmsg` on Linux). `1` disables
     /// receive batching and reproduces the legacy one-`recv_from`-per-
@@ -116,10 +113,6 @@ pub struct UdtConfig {
     /// advances the send timer by `n` periods. `1` disables send
     /// coalescing (legacy per-packet sends).
     pub snd_batch_pkts: u32,
-    /// Batched datapath: recycled receive-buffer pool depth, in buffers.
-    /// Exhaustion is never fatal — the pool falls back to counted fresh
-    /// allocations (`pool_misses` in the batch counters).
-    pub buf_pool_pkts: u32,
     /// `SO_SNDBUF` requested for the shared UDP socket at bind, bytes
     /// (`0` = leave the OS default). The reference implementation sets
     /// 64 KB: sends drain synchronously on most paths, so the send side
@@ -146,14 +139,10 @@ pub struct UdtConfig {
     /// network is trusted; see the "Metrics & export" section of
     /// DESIGN.md.
     pub metrics_listen: Option<std::net::SocketAddr>,
-    /// Continuous-profiler and JSONL sampling interval: how often the
-    /// observability thread snapshots per-thread CPU, per-connection
-    /// Table-3 category shares, and (when `metrics_jsonl` is set)
-    /// appends a registry sample.
+    /// Continuous-profiler sampling interval: how often the observability
+    /// thread snapshots per-thread CPU and per-connection Table-3 category
+    /// shares.
     pub metrics_interval: Duration,
-    /// When set, the observability thread appends one JSONL registry
-    /// sample to this file every `metrics_interval`.
-    pub metrics_jsonl: Option<PathBuf>,
 }
 
 /// Reconnect/backoff policy for resilient sessions: exponential backoff
@@ -230,16 +219,13 @@ impl Default for UdtConfig {
             flight_dir: None,
             auth: AuthPolicy::Off,
             auth_key: None,
-            auth_storm_threshold: 64,
             rcv_batch_pkts: 32,
             snd_batch_pkts: 16,
-            buf_pool_pkts: 256,
             udp_sndbuf_bytes: 65_536,
             udp_rcvbuf_bytes: 10_000_000,
             metrics: None,
             metrics_listen: None,
             metrics_interval: Duration::from_secs(1),
-            metrics_jsonl: None,
         }
     }
 }
@@ -266,10 +252,9 @@ mod tests {
         assert_eq!(c.mss, 1500);
         assert_eq!(c.payload_size(), 1488);
         assert!(matches!(c.cc, CcChoice::Udt(_)));
-        // Batched-datapath knobs: batching on by default, bounded pool.
+        // Batched-datapath knobs: batching on by default.
         assert_eq!(c.rcv_batch_pkts, 32);
         assert_eq!(c.snd_batch_pkts, 16);
-        assert_eq!(c.buf_pool_pkts, 256);
         // UDP socket buffers: reference-implementation parity (64 KB
         // send, ~10 MB receive).
         assert_eq!(c.udp_sndbuf_bytes, 65_536);
@@ -277,7 +262,6 @@ mod tests {
         // Observability is strictly opt-in.
         assert!(c.metrics.is_none());
         assert!(c.metrics_listen.is_none());
-        assert!(c.metrics_jsonl.is_none());
         assert_eq!(c.metrics_interval, Duration::from_secs(1));
     }
 

@@ -11,7 +11,7 @@
 //! `batch = 1` reproduces the legacy per-packet datapath (one `send_to`
 //! per packet on the send side, one delivered packet per wakeup batch on
 //! the receive side), so a batched-vs-1 pair isolates the win of the
-//! batched unit of work. The `exp_datapath` experiment in the bench crate
+//! batched unit of work. The `bench exp datapath` experiment in the bench crate
 //! runs interleaved pairs and gates the speedup.
 
 use std::io;

@@ -4,7 +4,7 @@
 //! protocol costs helps to make an efficient implementation", and reports
 //! (via VTune) that UDP syscalls dominate, followed by timing and data
 //! packing. We reproduce that breakdown with lightweight scope timers
-//! around the same code regions; `exp_tbl3` prints the resulting ratio
+//! around the same code regions; `bench exp tbl3` prints the resulting ratio
 //! table.
 
 // Numeric casts in this module are deliberate: bounded protocol arithmetic,

@@ -79,6 +79,11 @@ enum Route {
 /// this factor: an unbiased `UdpRecv` figure at negligible datapath cost.
 const RECV_CPU_SAMPLE: u64 = 8;
 
+/// Recycled receive-buffer pool depth, in buffers. Exhaustion is never
+/// fatal — the pool falls back to counted fresh allocations (`pool_misses`
+/// in the batch counters).
+const BUF_POOL_PKTS: usize = 256;
+
 pub(crate) struct Mux {
     socket: UdpSocket,
     local_addr: SocketAddr,
@@ -167,11 +172,7 @@ impl Mux {
         // Stride covers a full data packet plus trailer tag, with a floor
         // that fits every control packet (largest: a 64-range NAK).
         let stride = (cfg.mss as usize).max(512) + 72;
-        let pool = BufPool::new(
-            cfg.buf_pool_pkts.max(8) as usize,
-            stride,
-            Arc::clone(&counters),
-        );
+        let pool = BufPool::new(BUF_POOL_PKTS, stride, Arc::clone(&counters));
         let obs = cfg.metrics.as_ref().map(|hub| {
             let port = local_addr.port().to_string();
             let labels = [("mux", port.as_str())];
@@ -679,8 +680,8 @@ mod tests {
     fn auth_pair() -> (AuthCtx, Arc<AuthCtx>) {
         let psk = udt_proto::PreSharedKey::from_bytes([1u8; 16]);
         let (c2s, s2c) = (psk.session_key(1, 2, true), psk.session_key(1, 2, false));
-        let client = AuthCtx::new(c2s, s2c, Tracer::disabled(), 3, None, 64);
-        let server = AuthCtx::new(s2c, c2s, Tracer::disabled(), 7, None, 64);
+        let client = AuthCtx::new(c2s, s2c, Tracer::disabled(), 3, None);
+        let server = AuthCtx::new(s2c, c2s, Tracer::disabled(), 7, None);
         (client, Arc::new(server))
     }
 

@@ -14,9 +14,7 @@
 //!   [`crate::UdtConfig::metrics_interval`]: per-thread CPU from
 //!   `/proc/self/task` (Linux), plus live Table-3 category shares from
 //!   each connection's [`Instrument`], emitted both as registry gauges
-//!   and as [`EventKind::CpuBreakdown`] trace events;
-//! * optionally appends one JSONL registry sample per tick to
-//!   [`crate::UdtConfig::metrics_jsonl`].
+//!   and as [`EventKind::CpuBreakdown`] trace events.
 //!
 //! Everything here is fail-soft: a registration clash or a dead scrape
 //! socket degrades observability, never the transport.
@@ -24,13 +22,12 @@
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, Weak};
-use std::time::{Duration, Instant, SystemTime};
+use std::time::{Duration, Instant};
 
 use udt_metrics::counters::AuthCounters;
-use udt_metrics::export::{to_jsonl, to_openmetrics};
+use udt_metrics::export::to_openmetrics;
 use udt_metrics::hist::Histogram;
 use udt_metrics::registry::{Counter, Gauge, Registry};
 use udt_trace::{EventKind, Tracer};
@@ -234,7 +231,6 @@ impl MetricsHub {
         self: &Arc<Self>,
         listen: Option<SocketAddr>,
         interval: Duration,
-        jsonl: Option<PathBuf>,
     ) -> io::Result<Option<SocketAddr>> {
         let mut g = lock_poison_ok(&self.server);
         if let Some(s) = g.as_ref() {
@@ -258,7 +254,7 @@ impl MetricsHub {
         let interval = interval.max(Duration::from_millis(20));
         let thread = std::thread::Builder::new()
             .name("udt-obs".to_string())
-            .spawn(move || serve_loop(&hub, listener.as_ref(), interval, jsonl.as_deref(), &stop2))?;
+            .spawn(move || serve_loop(&hub, listener.as_ref(), interval, &stop2))?;
         *g = Some(ServerState {
             addr,
             stop,
@@ -287,17 +283,17 @@ impl Drop for MetricsHub {
 }
 
 /// Attach the config's hub at endpoint creation: create one on demand
-/// when only `metrics_listen`/`metrics_jsonl` are set, and start the
+/// when only `metrics_listen` is set, and start the
 /// `udt-obs` thread. A bind failure on the scrape address is a real
 /// configuration error and fails the endpoint.
 pub(crate) fn init(
     cfg: &mut crate::UdtConfig,
 ) -> crate::error::Result<Option<Arc<MetricsHub>>> {
-    if cfg.metrics.is_none() && cfg.metrics_listen.is_none() && cfg.metrics_jsonl.is_none() {
+    if cfg.metrics.is_none() && cfg.metrics_listen.is_none() {
         return Ok(None);
     }
     let hub = Arc::clone(cfg.metrics.get_or_insert_with(MetricsHub::new));
-    hub.ensure_serving(cfg.metrics_listen, cfg.metrics_interval, cfg.metrics_jsonl.clone())
+    hub.ensure_serving(cfg.metrics_listen, cfg.metrics_interval)
         .map_err(crate::UdtError::Io)?;
     Ok(Some(hub))
 }
@@ -338,7 +334,6 @@ fn serve_loop(
     hub: &Weak<MetricsHub>,
     listener: Option<&TcpListener>,
     interval: Duration,
-    jsonl: Option<&std::path::Path>,
     stop: &AtomicBool,
 ) {
     let mut threads = ThreadCpu::default();
@@ -356,18 +351,6 @@ fn serve_loop(
             last_tick = Instant::now();
             hub.profile_tick();
             threads.sample(&hub.registry, wall_s);
-            if let Some(path) = jsonl {
-                let t_ns = SystemTime::now()
-                    .duration_since(SystemTime::UNIX_EPOCH)
-                    .map(|d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX))
-                    .unwrap_or(0);
-                let line = to_jsonl(&hub.registry.snapshot(), t_ns);
-                let _ = std::fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(path)
-                    .and_then(|mut f| f.write_all(line.as_bytes()));
-            }
         }
         drop(hub); // never hold a strong reference across the sleep
         std::thread::sleep(Duration::from_millis(20));
@@ -511,7 +494,6 @@ mod tests {
             .ensure_serving(
                 Some("127.0.0.1:0".parse().unwrap()),
                 Duration::from_secs(3600),
-                None,
             )
             .unwrap()
             .expect("bound address");
@@ -520,7 +502,6 @@ mod tests {
             .ensure_serving(
                 Some("127.0.0.1:0".parse().unwrap()),
                 Duration::from_secs(3600),
-                None,
             )
             .unwrap();
         assert_eq!(again, Some(addr));

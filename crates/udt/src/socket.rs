@@ -144,7 +144,6 @@ fn client_auth_ctx(cfg: &UdtConfig, nonce: u32, cookie: u32, local_id: u32) -> O
         cfg.tracer.clone(),
         local_id,
         cfg.flight_dir.clone(),
-        cfg.auth_storm_threshold,
     )))
 }
 
@@ -946,7 +945,6 @@ fn listener_service(ctx: ListenerCtx) {
                     ctx.cfg.tracer.clone(),
                     local_id,
                     ctx.cfg.flight_dir.clone(),
-                    ctx.cfg.auth_storm_threshold,
                 )))
             })
         } else {

@@ -16,7 +16,7 @@
 use std::time::Duration;
 
 use udt::{AuthPolicy, PreSharedKey, UdtConfig, UdtConnection, UdtError, UdtListener};
-use udt_chaos::relay::ChaosRelay;
+use linkemu::LinkEmu;
 use udt_chaos::scenario::{ImpairmentSpec, Scenario};
 use udt_proto::SEQ_MAX;
 use udt_trace::{EventKind, Tracer};
@@ -233,7 +233,7 @@ fn misconfigured_auth_fails_fast() {
 // Active adversary.
 // ---------------------------------------------------------------------------
 
-/// Run one transfer through a ChaosRelay under `scenario`. Returns
+/// Run one transfer through a fault-injecting relay under `scenario`. Returns
 /// `(sent, received, server tags_bad, server replays)`.
 fn adversarial_transfer(
     scenario: &Scenario,
@@ -241,7 +241,7 @@ fn adversarial_transfer(
     bytes: usize,
 ) -> (Vec<u8>, Vec<u8>, u64, u64) {
     let listener = UdtListener::bind("127.0.0.1:0".parse().unwrap(), cfg.clone()).unwrap();
-    let relay = ChaosRelay::start(scenario, listener.local_addr()).unwrap();
+    let relay = LinkEmu::from_scenario(scenario, listener.local_addr()).unwrap();
     let server = std::thread::spawn(move || {
         let conn = listener.accept().unwrap();
         let got = recv_all(&conn);

@@ -1,5 +1,5 @@
 //! Cross-crate chaos integration: the udt-chaos impairment pipeline driving
-//! all three layers — netsim links, the linkemu/ChaosRelay UDP path, and
+//! all three layers — netsim links, the linkemu UDP path, and
 //! real UDT sockets — with the two properties the subsystem promises:
 //!
 //! 1. **Determinism**: the same scenario seed reproduces the identical
@@ -14,8 +14,8 @@
 
 use std::time::Duration;
 
+use linkemu::{LinkEmu, LinkSpec};
 use udt::{ConnStats, UdtConfig, UdtConnection, UdtListener};
-use udt_chaos::relay::ChaosRelay;
 use udt_chaos::scenario::{presets, Direction, ImpairmentSpec, Scenario};
 use udt_metrics::counters::FaultSnapshot;
 
@@ -149,7 +149,7 @@ mod netsim_chaos {
 
 /// The headline acceptance test: a UDT transfer through Gilbert–Elliott
 /// bursty loss (40% loss in the bad state), random reordering, duplication,
-/// and a single 200 ms blackout, all injected by the ChaosRelay. The
+/// and a single 200 ms blackout, all injected by a linkemu relay. The
 /// forward path is rate-clamped so the transfer provably spans the blackout
 /// window instead of finishing before it.
 #[test]
@@ -175,7 +175,7 @@ fn transfer_survives_bursty_blackout_scenario() {
         ..UdtConfig::default()
     };
     let listener = UdtListener::bind("127.0.0.1:0".parse().unwrap(), cfg.clone()).unwrap();
-    let relay = ChaosRelay::start(&scenario, listener.local_addr()).unwrap();
+    let relay = LinkEmu::from_scenario(&scenario, listener.local_addr()).unwrap();
     let server = std::thread::spawn(move || {
         let conn = listener.accept().unwrap();
         let mut buf = vec![0u8; 1 << 16];
@@ -202,7 +202,7 @@ fn transfer_survives_bursty_blackout_scenario() {
     // Every headline impairment demonstrably engaged.
     let stage = |name: &str| -> FaultSnapshot {
         relay
-            .fault_counters(Direction::Forward)
+            .fault_counters_a_to_b()
             .iter()
             .find(|(n, _)| *n == name)
             .unwrap_or_else(|| panic!("missing stage {name}"))
@@ -221,7 +221,6 @@ fn transfer_survives_bursty_blackout_scenario() {
 #[test]
 fn linkemu_chain_counts_faults_per_direction() {
     let _serial = serial();
-    use linkemu::{LinkEmu, LinkSpec};
     let fwd = LinkSpec::clean(100e6, Duration::from_millis(2)).impair(
         ImpairmentSpec::GilbertElliott {
             p_good_to_bad: 0.02,

@@ -25,7 +25,6 @@ use udt::{
     UdtConnection, UdtListener, UdtPathStream,
 };
 use udt_algo::Nanos;
-use udt_chaos::relay::ChaosRelay;
 use udt_chaos::{ImpairmentSpec, Scenario};
 use udt_multipath::{
     run_bonded_sim, BondedCfg, BondedSender, BondedSimCfg, PathConnector, PathId, PathStream,
@@ -258,7 +257,7 @@ fn baseline_blackout_run(dir: &Path, data: &[u8]) -> Duration {
 
     let listener = UdtListener::bind("127.0.0.1:0".parse().unwrap(), cfg.clone()).unwrap();
     let sessions = listener.sessions();
-    let relay = ChaosRelay::start(&scenario, listener.local_addr()).unwrap();
+    let relay = LinkEmu::from_scenario(&scenario, listener.local_addr()).unwrap();
 
     let sink_dest = dest.clone();
     let server = std::thread::spawn(move || {

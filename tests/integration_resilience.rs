@@ -1,7 +1,7 @@
 //! Resilience integration: reconnect-with-backoff sessions, resumable
 //! transfers, and the hardened listener — proved end to end with udt-chaos.
 //!
-//! The headline test pushes a 4 MB upload through a [`ChaosRelay`] whose
+//! The headline test pushes a 4 MB upload through a `linkemu` fault-injecting relay whose
 //! link goes dark in *both* directions for longer than the 10 s
 //! broken-silence floor, so the connection goes terminally `Broken` on
 //! both sides. The [`udt::ResilientSession`] must reconnect under its
@@ -30,7 +30,7 @@ use udt_proto::{encode, Packet, SeqNo};
 use udt::{
     ResilientSession, ResumableFileSink, RetryPolicy, UdtConfig, UdtConnection, UdtListener,
 };
-use udt_chaos::relay::ChaosRelay;
+use linkemu::LinkEmu;
 use udt_chaos::scenario::{ImpairmentSpec, Scenario};
 
 /// These tests spin relay/server threads with real-time pacing; serialize
@@ -109,7 +109,7 @@ fn blackout_upload_run(seed: u64, run: u32, dir: &Path, data: &[u8]) -> (Vec<u8>
 
     let listener = UdtListener::bind("127.0.0.1:0".parse().unwrap(), cfg.clone()).unwrap();
     let sessions = listener.sessions();
-    let relay = ChaosRelay::start(&scenario, listener.local_addr()).unwrap();
+    let relay = LinkEmu::from_scenario(&scenario, listener.local_addr()).unwrap();
 
     let sink_dest = dest.clone();
     let server = std::thread::spawn(move || {
@@ -223,7 +223,7 @@ fn download_resumes_after_mid_stream_break() {
     };
 
     let listener = UdtListener::bind("127.0.0.1:0".parse().unwrap(), cfg.clone()).unwrap();
-    let relay = ChaosRelay::start(&scenario, listener.local_addr()).unwrap();
+    let relay = LinkEmu::from_scenario(&scenario, listener.local_addr()).unwrap();
 
     let served_src = src;
     let server = std::thread::spawn(move || {
