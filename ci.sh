@@ -60,6 +60,13 @@ cargo build --release
 cargo test -q
 cargo clippy --all-targets -- -D warnings
 
+# Rustdoc over the crates/* members with warnings denied: intra-doc links
+# are how a public item that moved between crates rots (a dangling link, a
+# public page pointing at a private item), and nothing else reads them.
+# shellcheck disable=SC2046
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -q \
+  $(for d in crates/*/; do printf -- '-p %s ' "$(basename "$d")"; done)
+
 # Workspace-native static analysis: denies raw sequence-number comparisons,
 # wall-clock reads in deterministic layers, unwrap/panic in library code,
 # narrowing casts on seq/timestamp values, and lock-order violations.

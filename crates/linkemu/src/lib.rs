@@ -143,7 +143,7 @@ pub struct DirStats {
     /// Datagrams dropped by random loss.
     pub random_drops: AtomicU64,
     /// Datagrams dropped by the impairment chain (per-stage attribution
-    /// lives in [`LinkEmu::fault_counters`]).
+    /// lives in [`LinkEmu::fault_counters_a_to_b`] / `_b_to_a`).
     pub chaos_drops: AtomicU64,
     /// Extra datagram copies injected by the impairment chain.
     pub chaos_dups: AtomicU64,

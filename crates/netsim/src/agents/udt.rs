@@ -30,6 +30,7 @@ use udt_algo::conn::{
     opens_probe_pair, CoreTrace, DataVerdict, RcvCore, SndCfg, SndCore, TimerAction,
 };
 use udt_algo::{Nanos, RateControl, SabulCc, UdtCc, UdtCcConfig};
+use udt_metrics::counters::ConnStats;
 use udt_proto::ctrl::{ControlBody, ControlPacket};
 use udt_proto::{DataPacket, Packet, SeqNo};
 use udt_trace::{EventKind, Tracer};
@@ -149,11 +150,10 @@ pub struct UdtSender {
     /// When anything was last sent (a keep-alive is answered only after a
     /// silence of ours).
     last_sent: Nanos,
-    sent_new: u64,
-    sent_retx: u64,
     /// Transfer complete and `Shutdown` sent, or the peer declared gone.
     finished: bool,
-    /// Where `DataSend` goes (the core emits the rest); disabled by default.
+    /// Where `DataSend` goes (the core emits the rest through a clone) and
+    /// the counters both fold into; the tracer is disabled by default.
     trace: CoreTrace,
     /// Optional payload source for byte-carrying flows (multipath bonding).
     /// Called with `(sim now ns, seq, retx)`; for new data a `None` means
@@ -173,15 +173,14 @@ pub type PayloadSink = Box<dyn FnMut(u64, SeqNo, &Bytes)>;
 impl UdtSender {
     /// New sender.
     pub fn new(cfg: UdtSenderCfg) -> UdtSender {
+        let trace = CoreTrace::default();
         UdtSender {
-            core: Self::core_for(&cfg, CoreTrace::default()),
+            core: Self::core_for(&cfg, trace.clone()),
             snd_deadline: Nanos::ZERO,
             parked: false,
             last_sent: Nanos::ZERO,
-            sent_new: 0,
-            sent_retx: 0,
             finished: false,
-            trace: CoreTrace::default(),
+            trace,
             payload_fn: None,
             cfg,
         }
@@ -229,14 +228,20 @@ impl UdtSender {
         self
     }
 
+    /// This end's counters: the fold of the events it emitted, as a socket
+    /// connection's are.
+    pub fn stats(&self) -> &ConnStats {
+        self.trace.counters()
+    }
+
     /// Data packets sent (first transmissions).
     pub fn sent_new(&self) -> u64 {
-        self.sent_new
+        ConnStats::get(&self.stats().pkts_sent)
     }
 
     /// Retransmissions sent.
     pub fn sent_retx(&self) -> u64 {
-        self.sent_retx
+        ConnStats::get(&self.stats().pkts_retransmitted)
     }
 
     /// Current sending period (µs) — exposed for traces/ablations.
@@ -276,10 +281,8 @@ impl UdtSender {
         });
         let (seq, retx) = picked.ok_or(source_empty)?;
         let payload = if retx {
-            self.sent_retx += 1;
             source.as_mut().and_then(|f| f(now.0, seq, true))
         } else {
-            self.sent_new += 1;
             fresh
         };
         let pkt = Packet::Data(DataPacket {
@@ -300,7 +303,7 @@ impl UdtSender {
             bytes: cfg.mss,
             retx,
         };
-        self.trace.emit(now, sent);
+        self.trace.emit_at(now.0, sent);
         self.last_sent = now;
         Ok(seq)
     }
@@ -391,7 +394,7 @@ impl Agent for UdtSender {
         match token {
             TOK_SND => self.on_snd_timer(ctx),
             TOK_TIMER if !self.finished => {
-                match self.core.on_timer(ctx.now, 0.0).action {
+                match self.core.on_timer(ctx.now, 0.0) {
                     TimerAction::None => {}
                     TimerAction::KeepAlive => self.ctrl(ctx, ControlBody::KeepAlive, ctrl_size(0)),
                     TimerAction::Requeued => self.wake(ctx),
@@ -448,8 +451,8 @@ pub struct UdtReceiver {
     live: SndCore,
     /// First never-delivered sequence number (delivery frontier).
     rcv_next: SeqNo,
-    received_pkts: u64,
-    duplicate_pkts: u64,
+    /// What both cores emit into: this end's counters and its tracer.
+    trace: CoreTrace,
     last_sent: Nanos,
     /// The sender shut down, or went silent for good: timers stop.
     closed: bool,
@@ -462,13 +465,13 @@ pub struct UdtReceiver {
 impl UdtReceiver {
     /// New receiver.
     pub fn new(cfg: UdtReceiverCfg) -> UdtReceiver {
-        let (core, live) = Self::cores_for(&cfg, &CoreTrace::default());
+        let trace = CoreTrace::default();
+        let (core, live) = Self::cores_for(&cfg, &trace);
         UdtReceiver {
             core,
             live,
             rcv_next: cfg.init_seq,
-            received_pkts: 0,
-            duplicate_pkts: 0,
+            trace,
             last_sent: Nanos::ZERO,
             closed: false,
             sink_fn: None,
@@ -502,8 +505,8 @@ impl UdtReceiver {
     /// Attach a tracer (builder style; see [`UdtSender::with_tracer`]).
     #[must_use]
     pub fn with_tracer(mut self, t: Tracer) -> UdtReceiver {
-        let trace = CoreTrace::new(t, self.cfg.flow.0 as u32, 0);
-        (self.core, self.live) = Self::cores_for(&self.cfg, &trace);
+        self.trace = CoreTrace::new(t, self.cfg.flow.0 as u32, 0);
+        (self.core, self.live) = Self::cores_for(&self.cfg, &self.trace);
         self
     }
 
@@ -521,14 +524,19 @@ impl UdtReceiver {
         self.core.loss_events()
     }
 
+    /// This end's counters; see [`UdtSender::stats`].
+    pub fn stats(&self) -> &ConnStats {
+        self.trace.counters()
+    }
+
     /// Data packets accepted (first copies).
     pub fn received_pkts(&self) -> u64 {
-        self.received_pkts
+        ConnStats::get(&self.stats().pkts_received)
     }
 
     /// Duplicate data packets discarded.
     pub fn duplicate_pkts(&self) -> u64 {
-        self.duplicate_pkts
+        ConnStats::get(&self.stats().pkts_duplicate)
     }
 
     /// Current smoothed RTT estimate (µs).
@@ -554,16 +562,12 @@ impl UdtReceiver {
             self.cfg.buffer_pkts,
         );
         match verdict {
-            DataVerdict::Implausible | DataVerdict::Duplicate => {
-                self.duplicate_pkts += 1;
-                return;
-            }
+            DataVerdict::Implausible | DataVerdict::Duplicate => return,
             DataVerdict::New { nak: Some(gap) } => {
                 self.ctrl(ctx, ControlBody::Nak(vec![gap]), ctrl_size(2));
             }
             DataVerdict::New { nak: None } | DataVerdict::Recovered => {}
         }
-        self.received_pkts += 1;
         if let Some(sink) = self.sink_fn.as_mut() {
             sink(ctx.now.0, d.seq, &d.payload);
         }
@@ -621,7 +625,7 @@ impl Agent for UdtReceiver {
             let size = ctrl_size(2 * due.len());
             self.ctrl(ctx, ControlBody::Nak(due), size);
         }
-        match self.live.on_timer(ctx.now, 0.0).action {
+        match self.live.on_timer(ctx.now, 0.0) {
             TimerAction::KeepAlive => self.ctrl(ctx, ControlBody::KeepAlive, ctrl_size(0)),
             TimerAction::Broken => {
                 self.closed = true;

@@ -22,49 +22,25 @@
 //! calls [`SndCore::check_invariants`] / [`RcvCore::check_invariants`]
 //! where it wants the cross-field conditions checked.
 //!
-//! Protocol trace events are emitted here ([`CoreTrace`]), so the hosts'
-//! timelines use one vocabulary. A host emits only what it alone knows:
-//! `DataSend` (it holds the payload), buffer levels, batches and state
-//! changes.
+//! Protocol events are emitted here ([`CoreTrace`]), so the hosts'
+//! timelines use one vocabulary and their [`ConnStats`] count one way: the
+//! counters are a fold over these events, applied by the emit itself. A host
+//! emits, through the same handle, only what it alone knows: `DataSend` (it
+//! holds the payload), buffer levels, batches and state changes.
 
 mod rcv;
 mod snd;
 
 pub use rcv::{DataVerdict, RcvCore, RcvTimer};
-pub use snd::{opens_probe_pair, Acked, SndCfg, SndCore, SndTimer, TimerAction};
+pub use snd::{opens_probe_pair, Acked, SndCfg, SndCore, TimerAction};
 
-use udt_trace::{EventKind, Tracer};
+use udt_metrics::counters::ConnStats;
 
-use crate::clock::Nanos;
-
-/// Where a core's trace events go: into `tracer`, tagged with a connection
-/// id, stamped with the handler's `now` moved onto the tracer's timeline.
-#[derive(Debug, Clone, Default)]
-pub struct CoreTrace {
-    tracer: Tracer,
-    conn: u32,
-    offset_ns: u64,
-}
-
-impl CoreTrace {
-    /// Events for connection `conn`. `offset_ns` is what the tracer's clock
-    /// read when the host's `Nanos` timeline read zero (0 where the two are
-    /// one timeline, as in the simulator).
-    pub fn new(tracer: Tracer, conn: u32, offset_ns: u64) -> CoreTrace {
-        CoreTrace {
-            tracer,
-            conn,
-            offset_ns,
-        }
-    }
-
-    /// Record `kind` as having happened at the host's `now`.
-    #[inline]
-    pub fn emit(&self, now: Nanos, kind: EventKind) {
-        self.tracer
-            .emit_at(now.0.saturating_add(self.offset_ns), self.conn, kind);
-    }
-}
+/// Where a connection's events go: counted into its [`ConnStats`], then into
+/// a tracer tagged with the connection id. The cores stamp events with the
+/// handler's `now` ([`udt_trace::Emitter::emit_at`]), moved onto the tracer's
+/// timeline by the offset given at construction.
+pub type CoreTrace = udt_trace::Emitter<ConnStats>;
 
 #[cfg(test)]
 mod tests;

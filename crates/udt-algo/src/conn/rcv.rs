@@ -258,8 +258,8 @@ impl RcvCore {
             self.drop_event(now, seq, DropReason::Duplicate);
             return DataVerdict::Duplicate;
         };
-        self.trace.emit(
-            now,
+        self.trace.emit_at(
+            now.0,
             EventKind::DataRecv {
                 seq: seq.raw(),
                 bytes,
@@ -269,8 +269,8 @@ impl RcvCore {
     }
 
     fn drop_event(&self, now: Nanos, seq: SeqNo, reason: DropReason) {
-        self.trace.emit(
-            now,
+        self.trace.emit_at(
+            now.0,
             EventKind::DataDrop {
                 seq: seq.raw(),
                 reason,
@@ -289,9 +289,9 @@ impl RcvCore {
         self.loss_events.push(added);
         let (first_lo, first_hi) = (from.raw(), to.raw());
         self.trace
-            .emit(now, EventKind::LossDetected { first_lo, first_hi });
-        self.trace.emit(
-            now,
+            .emit_at(now.0, EventKind::LossDetected { first_lo, first_hi });
+        self.trace.emit_at(
+            now.0,
             EventKind::NakSend {
                 first_lo,
                 first_hi,
@@ -305,12 +305,12 @@ impl RcvCore {
     /// remembered.
     pub fn on_ack2(&mut self, now: Nanos, ack_seq: u32) -> Option<Nanos> {
         self.trace
-            .emit(now, EventKind::Ack2Recv { ack_no: ack_seq });
+            .emit_at(now.0, EventKind::Ack2Recv { ack_no: ack_seq });
         let (sample, acked) = self.ackw.acknowledge(ack_seq, now)?;
         self.rtt.update(sample);
         let (rtt_us, var_us) = self.rtt.wire();
         self.trace
-            .emit(now, EventKind::RttUpdate { rtt_us, var_us });
+            .emit_at(now.0, EventKind::RttUpdate { rtt_us, var_us });
         if self.last_ack_acked.lt_seq(acked) {
             self.last_ack_acked = acked;
         }
@@ -373,15 +373,11 @@ impl RcvCore {
         self.ackw.store(self.acks_sent, ack_no, now);
         self.last_ack_sent = ack_no;
         self.last_ack_time = now;
-        self.trace.emit(
-            now,
-            EventKind::TimerFire {
-                timer: TimerKind::Ack,
-                count: 1,
-            },
-        );
-        self.trace.emit(
-            now,
+        let (timer, count) = (TimerKind::Ack, 1);
+        self.trace
+            .emit_at(now.0, EventKind::TimerFire { timer, count });
+        self.trace.emit_at(
+            now.0,
             EventKind::AckSend {
                 ack_no: self.acks_sent,
                 ack_seq: ack_no.raw(),
@@ -401,15 +397,11 @@ impl RcvCore {
         let Some(first) = due.first() else {
             return (None, base);
         };
-        self.trace.emit(
-            now,
-            EventKind::TimerFire {
-                timer: TimerKind::Nak,
-                count: 1,
-            },
-        );
-        self.trace.emit(
-            now,
+        let (timer, count) = (TimerKind::Nak, 1);
+        self.trace
+            .emit_at(now.0, EventKind::TimerFire { timer, count });
+        self.trace.emit_at(
+            now.0,
             EventKind::NakSend {
                 first_lo: first.from.raw(),
                 first_hi: first.to.raw(),

@@ -7,7 +7,7 @@
 
 use udt_proto::ctrl::AckData;
 use udt_proto::{SeqNo, SeqRange};
-use udt_trace::{EventKind, TimerKind};
+use udt_trace::{DropReason, EventKind, TimerKind};
 
 use super::CoreTrace;
 use crate::clock::Nanos;
@@ -66,16 +66,7 @@ pub struct Acked {
     pub ack2: bool,
 }
 
-/// What [`SndCore::on_timer`] found.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SndTimer {
-    /// The EXP timer expired (one more step up its ladder).
-    pub expired: bool,
-    /// What the host must do about it.
-    pub action: TimerAction,
-}
-
-/// The host's part of a timer tick.
+/// What [`SndCore::on_timer`] leaves the host to do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TimerAction {
     /// Nothing.
@@ -288,10 +279,10 @@ impl<C: RateControl + ?Sized> SndCore<C> {
         self.last_rsp = now;
     }
 
-    /// An ACK arrived. `None` means it was rejected and nothing changed: an
-    /// ACK may only cover data actually sent, and `rcv_next` past `next_new`
-    /// is a corrupted (or hostile) packet; absorbing it would strand
-    /// `snd_una` beyond the send frontier.
+    /// An ACK arrived. `None` means it was rejected (a drop event says so)
+    /// and nothing changed: an ACK may only cover data actually sent, and
+    /// `rcv_next` past `next_new` is a corrupted (or hostile) packet;
+    /// absorbing it would strand `snd_una` beyond the send frontier.
     pub fn on_ack(
         &mut self,
         now: Nanos,
@@ -300,14 +291,15 @@ impl<C: RateControl + ?Sized> SndCore<C> {
         min_snd_period_us: f64,
     ) -> Option<Acked> {
         let ack = data.rcv_next;
-        self.trace.emit(
-            now,
+        self.trace.emit_at(
+            now.0,
             EventKind::AckRecv {
                 ack_no: ack_seq,
                 ack_seq: ack.raw(),
             },
         );
         if self.next_new.lt_seq(ack) {
+            self.reject(now, ack);
             return None;
         }
         let in_flight = self.in_flight();
@@ -320,7 +312,7 @@ impl<C: RateControl + ?Sized> SndCore<C> {
             self.rtt.absorb_peer(rtt, var);
             let (rtt_us, var_us) = self.rtt.wire();
             self.trace
-                .emit(now, EventKind::RttUpdate { rtt_us, var_us });
+                .emit_at(now.0, EventKind::RttUpdate { rtt_us, var_us });
         }
         if let Some(w) = data.avail_buf_pkts {
             self.peer_window = w.max(2);
@@ -330,8 +322,8 @@ impl<C: RateControl + ?Sized> SndCore<C> {
         }
         if let Some(bw) = data.link_cap_pps.filter(|&bw| bw > 0) {
             self.bandwidth_pps = smooth(self.bandwidth_pps, bw);
-            self.trace.emit(
-                now,
+            self.trace.emit_at(
+                now.0,
                 EventKind::BwEstimate {
                     pps: self.bandwidth_pps,
                 },
@@ -339,8 +331,8 @@ impl<C: RateControl + ?Sized> SndCore<C> {
         }
         let ctx = self.cc_ctx(now, min_snd_period_us);
         self.cc.on_ack(ack, &ctx);
-        self.trace.emit(
-            now,
+        self.trace.emit_at(
+            now.0,
             EventKind::RateUpdate {
                 period_us: self.cc.pkt_snd_period_us(),
                 cwnd: self.cc.cwnd(),
@@ -349,7 +341,7 @@ impl<C: RateControl + ?Sized> SndCore<C> {
         let ack2 = !data.is_light();
         if ack2 {
             self.trace
-                .emit(now, EventKind::Ack2Send { ack_no: ack_seq });
+                .emit_at(now.0, EventKind::Ack2Send { ack_no: ack_seq });
         }
         Some(Acked {
             pkts: in_flight - self.in_flight(),
@@ -357,38 +349,55 @@ impl<C: RateControl + ?Sized> SndCore<C> {
         })
     }
 
+    /// The peer named `seq` in a way no honest peer could: on the timeline
+    /// and counted, like an implausible data packet.
+    fn reject(&self, now: Nanos, seq: SeqNo) {
+        let (seq, reason) = (seq.raw(), DropReason::Implausible);
+        self.trace
+            .emit_at(now.0, EventKind::DataDrop { seq, reason });
+    }
+
     /// A NAK arrived: `ranges` is cut down to what of it is live
-    /// ([`clamp_nak_range`]), and that is reported to the rate controller
-    /// and queued for retransmission. Returns whether any range was cut
+    /// (`clamp_nak_range`), and that is reported to the rate controller
+    /// and queued for retransmission. The trace shows the NAK as it arrived
+    /// (`nak_recv`, before the cut), and one drop event if any range was cut
     /// away whole, which no honest NAK on an in-order path is.
-    pub fn on_nak(
-        &mut self,
-        now: Nanos,
-        ranges: &mut Vec<SeqRange>,
-        min_snd_period_us: f64,
-    ) -> bool {
-        let named = ranges.len();
-        let (una, frontier) = (self.snd_una, self.next_new);
-        ranges.retain_mut(|r| clamp_nak_range(*r, una, frontier).map(|c| *r = c).is_some());
-        let rejected = ranges.len() < named;
-        let Some(first) = ranges.first() else {
-            return rejected;
-        };
-        self.trace.emit(
-            now,
+    pub fn on_nak(&mut self, now: Nanos, ranges: &mut Vec<SeqRange>, min_snd_period_us: f64) {
+        let (first_lo, first_hi) = ranges
+            .first()
+            .map_or((0, 0), |r| (r.from.raw(), r.to.raw()));
+        self.trace.emit_at(
+            now.0,
             EventKind::NakRecv {
-                first_lo: first.from.raw(),
-                first_hi: first.to.raw(),
+                first_lo,
+                first_hi,
                 // A NAK packet carries far fewer than 2^32 ranges.
                 ranges: ranges.len() as u32,
             },
         );
+        let (una, frontier) = (self.snd_una, self.next_new);
+        let mut dead = None;
+        ranges.retain_mut(|r| match clamp_nak_range(*r, una, frontier) {
+            Some(live) => {
+                *r = live;
+                true
+            }
+            None => {
+                dead.get_or_insert(r.from);
+                false
+            }
+        });
+        if let Some(seq) = dead {
+            self.reject(now, seq);
+        }
+        if ranges.is_empty() {
+            return;
+        }
         let ctx = self.cc_ctx(now, min_snd_period_us);
         self.cc.on_loss(ranges, &ctx);
         for r in ranges.iter() {
             self.loss.insert(r.from, r.to);
         }
-        rejected
     }
 
     /// The EXP interval before any escalation.
@@ -409,7 +418,7 @@ impl<C: RateControl + ?Sized> SndCore<C> {
     /// The timer tick: EXP expiry (rate cut, keep-alive, the broken
     /// verdict) and tail-loss repair. Acts from [`SndCore::next_deadline`]
     /// on; harmless earlier.
-    pub fn on_timer(&mut self, now: Nanos, min_snd_period_us: f64) -> SndTimer {
+    pub fn on_timer(&mut self, now: Nanos, min_snd_period_us: f64) -> TimerAction {
         let outstanding = self.snd_una.lt_seq(self.next_new);
         // Progress is counted from when data went out, not from the last
         // ACK of an earlier exchange: the first tick that sees data on a
@@ -421,12 +430,10 @@ impl<C: RateControl + ?Sized> SndCore<C> {
             self.last_progress = now;
         }
         let silence = now.since(self.last_rsp);
-        let expired = silence >= self.exp.interval(self.rtt.rtt_us(), self.rtt.rtt_var_us());
-        let done = |action| SndTimer { expired, action };
-        if expired {
+        if silence >= self.exp.interval(self.rtt.rtt_us(), self.rtt.rtt_var_us()) {
             self.exp.on_expired();
-            self.trace.emit(
-                now,
+            self.trace.emit_at(
+                now.0,
                 EventKind::TimerFire {
                     timer: TimerKind::Exp,
                     count: self.exp.count(),
@@ -438,12 +445,12 @@ impl<C: RateControl + ?Sized> SndCore<C> {
             // the entire backoff ladder, it is gone — without this, one
             // side dying leaves the other's recv() hanging forever.
             if self.exp.count() >= self.max_exp_count && silence >= self.broken_silence_floor {
-                return done(TimerAction::Broken);
+                return TimerAction::Broken;
             }
             if !outstanding {
                 // Idle: probe the peer (keep-alives refresh the peer's EXP
                 // state just as ours is refreshed by any arrival).
-                return done(TimerAction::KeepAlive);
+                return TimerAction::KeepAlive;
             }
             // Data in flight and the peer is silent: cut the rate. The
             // progress check below re-queues the data itself.
@@ -464,9 +471,9 @@ impl<C: RateControl + ?Sized> SndCore<C> {
         {
             self.loss.insert(self.snd_una, self.next_new.prev());
             self.last_progress = now; // pace the next re-queue
-            return done(TimerAction::Requeued);
+            return TimerAction::Requeued;
         }
-        done(TimerAction::None)
+        TimerAction::None
     }
 
     /// The earliest time [`SndCore::on_timer`] can have anything to do.

@@ -1,9 +1,10 @@
 //! Virtual-time tests of the event core: explicit `Nanos`, no sockets. Each
 //! pins one sequencing rule and fails if the rule is removed.
 
+use udt_metrics::counters::ConnStats;
 use udt_proto::ctrl::{AckData, ControlBody};
 use udt_proto::{SeqNo, SeqRange, SEQ_MAX, SEQ_TH};
-use udt_trace::Tracer;
+use udt_trace::{DropReason, EventKind, Tracer};
 
 use super::snd::clamp_nak_range;
 use super::{opens_probe_pair, CoreTrace, DataVerdict, RcvCore, SndCfg, SndCore, TimerAction};
@@ -23,8 +24,17 @@ fn ms(v: u64) -> Nanos {
 }
 
 fn snd(init: u32) -> SndCore {
+    snd_traced(init, CoreTrace::default())
+}
+
+/// A sender whose events (and so counters) the test can read from `trace`.
+fn snd_traced(init: u32, trace: CoreTrace) -> SndCore {
     let cc = Box::new(UdtCc::with_defaults(sq(init)));
-    SndCore::new(SndCfg::new(sq(init), cc, 1500, 1024), Nanos::ZERO)
+    let cfg: SndCfg = SndCfg {
+        trace,
+        ..SndCfg::new(sq(init), cc, 1500, 1024)
+    };
+    SndCore::new(cfg, Nanos::ZERO)
 }
 
 fn rcv(init: u32) -> RcvCore {
@@ -266,7 +276,7 @@ fn a_nak_outside_the_live_span_is_rejected_without_touching_state() {
         SeqRange::new(sq(108), sq(120)),
         SeqRange::new(sq(SEQ_TH + 100), sq(SEQ_TH + 110)),
     ];
-    assert!(s.on_nak(ms(6), &mut ranges, 0.0), "rejected");
+    s.on_nak(ms(6), &mut ranges, 0.0);
     assert!(ranges.is_empty());
     assert!(s.loss_ranges().is_empty());
     assert_eq!(
@@ -280,10 +290,65 @@ fn a_nak_outside_the_live_span_is_rejected_without_touching_state() {
         SeqRange::new(sq(101), sq(104)),
         SeqRange::new(sq(200), sq(210)),
     ];
-    assert!(s.on_nak(ms(7), &mut ranges, 0.0));
+    s.on_nak(ms(7), &mut ranges, 0.0);
     assert_eq!(s.loss_ranges(), vec![SeqRange::new(sq(103), sq(104))]);
     assert_eq!(s.next(|_| false), Some((sq(103), true)));
     s.check_invariants().expect("invariants");
+}
+
+/// What a rejection must leave behind: the packet as it arrived, one drop,
+/// and each counted once.
+fn assert_rejection(trace: &CoreTrace, arrived: &str, dropped_seq: u32) {
+    let events = trace.tracer().snapshot();
+    let names: Vec<&str> = events.iter().map(|e| e.kind.name()).collect();
+    assert_eq!(names, [arrived, "data_drop"]);
+    let (seq, reason) = (dropped_seq, DropReason::Implausible);
+    assert_eq!(events[1].kind, EventKind::DataDrop { seq, reason });
+    let stats = trace.counters();
+    let arrivals = ConnStats::get(&stats.acks_received) + ConnStats::get(&stats.naks_received);
+    assert_eq!((arrivals, ConnStats::get(&stats.pkts_rejected)), (1, 1));
+}
+
+#[test]
+fn an_ack_past_the_send_frontier_is_a_drop_on_the_timeline() {
+    let trace = CoreTrace::new(Tracer::ring(16), 1, 0);
+    let mut s = snd_traced(100, trace.clone());
+    send_new(&mut s, 8); // live span [100, 108)
+    assert_eq!(s.on_ack(ms(5), 1, &full_ack(109), 0.0), None);
+    assert_rejection(&trace, "ack_recv", 109);
+}
+
+#[test]
+fn an_all_stale_nak_is_on_the_timeline_and_counted_once() {
+    let trace = CoreTrace::new(Tracer::ring(16), 1, 0);
+    let mut s = snd_traced(100, trace.clone());
+    send_new(&mut s, 8);
+    s.on_ack(ms(5), 1, &full_ack(108), 0.0).expect("accepted"); // nothing in flight
+    let before = trace.tracer().pushed();
+    // A NAK that crossed that ACK on the wire: everything it names is stale.
+    let mut ranges = vec![SeqRange::new(sq(101), sq(102)), SeqRange::single(sq(105))];
+    s.on_nak(ms(6), &mut ranges, 0.0);
+    assert!(ranges.is_empty() && s.loss_ranges().is_empty());
+    let events = trace.tracer().snapshot();
+    let new = &events[usize::try_from(before).expect("small")..];
+    let (first_lo, first_hi) = (101, 102);
+    assert_eq!(
+        new.iter().map(|e| e.kind).collect::<Vec<_>>(),
+        [
+            EventKind::NakRecv {
+                first_lo,
+                first_hi,
+                ranges: 2
+            },
+            EventKind::DataDrop {
+                seq: 101,
+                reason: DropReason::Implausible
+            },
+        ]
+    );
+    let stats = trace.counters();
+    assert_eq!(ConnStats::get(&stats.naks_received), 1);
+    assert_eq!(ConnStats::get(&stats.pkts_rejected), 1);
 }
 
 #[test]
@@ -361,7 +426,8 @@ fn nak_clamp_is_wrap_safe() {
 
 #[test]
 fn a_lost_tail_is_requeued_while_the_peer_is_provably_alive() {
-    let mut s = snd(0);
+    let trace = CoreTrace::default();
+    let mut s = snd_traced(0, trace.clone());
     send_new(&mut s, 4);
     s.on_timer(ms(5), 0.0);
     // The receiver got 0..=2 and says so; packet 3 was lost. It shows the
@@ -373,21 +439,22 @@ fn a_lost_tail_is_requeued_while_the_peer_is_provably_alive() {
     let mut requeued_at = None;
     for t in (20..=400).step_by(10) {
         s.on_arrival(ms(t));
-        let tick = s.on_timer(ms(t), 0.0);
-        assert!(!tick.expired, "peer is alive at {t} ms");
-        if tick.action == TimerAction::Requeued {
+        let action = s.on_timer(ms(t), 0.0);
+        if action == TimerAction::Requeued {
             requeued_at = Some(t);
             break;
         }
-        assert_eq!(tick.action, TimerAction::None);
+        assert_eq!(action, TimerAction::None);
     }
+    let expired = ConnStats::get(&trace.counters().exp_timeouts);
+    assert_eq!(expired, 0, "the peer was alive throughout");
     // One un-escalated EXP interval (the 300 ms floor: RTT is 1 ms here)
     // after `snd_una` last moved.
     assert_eq!(requeued_at, Some(310));
     assert_eq!(s.loss_ranges(), vec![SeqRange::single(sq(3))]);
     assert_eq!(s.next(|_| false), Some((sq(3), true)));
     // The re-queue paces itself: not again before another interval.
-    assert_eq!(s.on_timer(ms(320), 0.0).action, TimerAction::None);
+    assert_eq!(s.on_timer(ms(320), 0.0), TimerAction::None);
     assert_eq!(s.next_deadline(), ms(310).plus(MIN_EXP_INTERVAL));
     s.check_invariants().expect("invariants");
 }
@@ -406,8 +473,8 @@ fn progress_is_counted_from_when_data_went_out_on_an_idle_connection() {
     // progress clock must not re-queue it at the very next tick.
     send_new(&mut s, 1);
     s.on_arrival(ms(2000));
-    assert_eq!(s.on_timer(ms(2000), 0.0).action, TimerAction::None);
-    assert_eq!(s.on_timer(ms(2010), 0.0).action, TimerAction::None);
+    assert_eq!(s.on_timer(ms(2000), 0.0), TimerAction::None);
+    assert_eq!(s.on_timer(ms(2010), 0.0), TimerAction::None);
     assert!(s.loss_ranges().is_empty());
     // Left unacknowledged, it is repaired one interval after it went out
     // (the seed RTT of 100 ms +/- 50 makes that 300 ms + SYN).
@@ -433,7 +500,7 @@ impl IdleEnd {
 
     /// Tick the timer; returns a keep-alive to send.
     fn tick(&mut self, now: Nanos) -> Option<ControlBody> {
-        match self.snd.on_timer(now, 0.0).action {
+        match self.snd.on_timer(now, 0.0) {
             TimerAction::KeepAlive => Some(self.sent(now)),
             TimerAction::None => None,
             other => panic!("{other:?} on an idle, answered connection at {now}"),
@@ -500,9 +567,9 @@ fn broken_at(max_exp_count: u32, broken_silence_floor: Nanos) -> Option<u64> {
     };
     let mut s = SndCore::new(cfg, Nanos::ZERO);
     (0..60_000).step_by(10).find(|&t| {
-        let tick = s.on_timer(ms(t), 0.0);
-        assert_ne!(tick.action, TimerAction::Requeued, "nothing is outstanding");
-        tick.action == TimerAction::Broken
+        let action = s.on_timer(ms(t), 0.0);
+        assert_ne!(action, TimerAction::Requeued, "nothing is outstanding");
+        action == TimerAction::Broken
     })
 }
 

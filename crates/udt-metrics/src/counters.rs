@@ -1,13 +1,24 @@
-//! Lock-free fault/impairment counters.
+//! Lock-free counter families.
 //!
 //! Every impairment stage in `udt-chaos` owns one [`FaultCounters`] and
 //! bumps it on the hot path with relaxed atomics; experiment and test
 //! code reads a consistent-enough [`FaultSnapshot`] at the end of a run.
-//! The same pattern serves the resilience layer: [`ListenerCounters`]
-//! observe listener hardening (cookies, rate limiting, backlog, GC) and
-//! [`SessionCounters`] observe reconnect/resume behaviour.
+//!
+//! The protocol's own families — [`ConnStats`] per connection,
+//! [`AuthCounters`], [`ListenerCounters`], [`SessionCounters`] and
+//! [`PathCounters`] — are [`Fold`]s over trace events: each says once,
+//! beside its fields, which [`EventKind`] moves which counter, and a
+//! [`udt_trace::Emitter`] applies that on every emit. Nothing else bumps an
+//! event-derived counter, so the live numbers, a replay of an exported
+//! timeline through the same `apply`, and the simulator's numbers are one
+//! function (DESIGN.md, "Observability", has the table). A counter whose
+//! fact has no event (`tags_ok`, `gc_evictions`, `reconnect_successes`, the
+//! byte counts at the `send`/`recv` boundary, all of [`BatchCounters`]) is
+//! bumped where the fact happens.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+
+use udt_trace::{DropReason, EventKind, Fold, HsPhase, TimerKind};
 
 /// A counter family that can be folded into the registry namespace as
 /// `udt_<subsystem>_<field>` series (see [`crate::registry::Registry::
@@ -143,12 +154,127 @@ impl FaultSnapshot {
     }
 }
 
+/// Cumulative per-connection statistics (all counters are monotone). Both
+/// hosts of the protocol core keep one: a socket connection
+/// (`udt::UdtConnection::stats`) and each simulator agent.
+#[derive(Debug, Default)]
+pub struct ConnStats {
+    /// Data packets sent (first transmissions).
+    pub pkts_sent: AtomicU64,
+    /// Data packets retransmitted.
+    pub pkts_retransmitted: AtomicU64,
+    /// Data packets received (first copies).
+    pub pkts_received: AtomicU64,
+    /// Duplicate data packets discarded.
+    pub pkts_duplicate: AtomicU64,
+    /// Application payload bytes accepted by `send()` (buffered for
+    /// transmission, whether or not they have left yet).
+    pub bytes_sent: AtomicU64,
+    /// Application payload bytes delivered in order to the application.
+    pub bytes_delivered: AtomicU64,
+    /// ACK control packets sent.
+    pub acks_sent: AtomicU64,
+    /// ACK control packets received.
+    pub acks_received: AtomicU64,
+    /// NAK control packets sent.
+    pub naks_sent: AtomicU64,
+    /// NAK control packets received.
+    pub naks_received: AtomicU64,
+    /// Loss events detected at the receiver (gap detections).
+    pub loss_events: AtomicU64,
+    /// Lost packets detected at the receiver (sum of gap sizes).
+    pub pkts_lost: AtomicU64,
+    /// EXP timeouts taken.
+    pub exp_timeouts: AtomicU64,
+    /// Packets rejected as implausible (sequence/ack numbers outside any
+    /// window the peer could legitimately use — corrupted or hostile).
+    pub pkts_rejected: AtomicU64,
+}
+
+impl ConnStats {
+    /// Bump a counter that no event carries (`bytes_sent`,
+    /// `bytes_delivered`); the rest move only through [`Fold::apply`].
+    #[inline]
+    pub fn inc(counter: &AtomicU64, by: u64) {
+        counter.fetch_add(by, Ordering::Relaxed);
+    }
+
+    /// Read a counter.
+    #[inline]
+    pub fn get(counter: &AtomicU64) -> u64 {
+        counter.load(Ordering::Relaxed)
+    }
+}
+
+impl Fold for ConnStats {
+    #[inline]
+    fn apply(&self, kind: &EventKind) {
+        let (counter, by) = match *kind {
+            EventKind::DataSend { retx: false, .. } => (&self.pkts_sent, 1),
+            EventKind::DataSend { retx: true, .. } => (&self.pkts_retransmitted, 1),
+            EventKind::DataRecv { .. } => (&self.pkts_received, 1),
+            EventKind::DataDrop { reason, .. } => match reason {
+                DropReason::Duplicate => (&self.pkts_duplicate, 1),
+                DropReason::Implausible => (&self.pkts_rejected, 1),
+                // Not this connection's doing: a link or the demultiplexer.
+                DropReason::BufferFull
+                | DropReason::Queue
+                | DropReason::RandomLoss
+                | DropReason::Shed => return,
+            },
+            EventKind::AckSend { .. } => (&self.acks_sent, 1),
+            EventKind::AckRecv { .. } => (&self.acks_received, 1),
+            EventKind::NakSend { .. } => (&self.naks_sent, 1),
+            EventKind::NakRecv { .. } => (&self.naks_received, 1),
+            EventKind::LossDetected { first_lo, first_hi } => {
+                ConnStats::inc(&self.loss_events, 1);
+                // Sequence numbers are 31 bits: the gap's length across a wrap.
+                let gap = (first_hi.wrapping_sub(first_lo) & 0x7FFF_FFFF) + 1;
+                (&self.pkts_lost, u64::from(gap))
+            }
+            EventKind::TimerFire {
+                timer: TimerKind::Exp,
+                ..
+            } => (&self.exp_timeouts, 1),
+            _ => return,
+        };
+        ConnStats::inc(counter, by);
+    }
+}
+
+/// Joins the registry namespace as `udt_conn_<field>{conn="…"}`.
+impl CounterFamily for ConnStats {
+    fn subsystem(&self) -> &'static str {
+        "conn"
+    }
+
+    fn samples(&self) -> Vec<(&'static str, u64)> {
+        vec![
+            ("pkts_sent", ConnStats::get(&self.pkts_sent)),
+            ("pkts_retransmitted", ConnStats::get(&self.pkts_retransmitted)),
+            ("pkts_received", ConnStats::get(&self.pkts_received)),
+            ("pkts_duplicate", ConnStats::get(&self.pkts_duplicate)),
+            ("bytes_sent", ConnStats::get(&self.bytes_sent)),
+            ("bytes_delivered", ConnStats::get(&self.bytes_delivered)),
+            ("acks_sent", ConnStats::get(&self.acks_sent)),
+            ("acks_received", ConnStats::get(&self.acks_received)),
+            ("naks_sent", ConnStats::get(&self.naks_sent)),
+            ("naks_received", ConnStats::get(&self.naks_received)),
+            ("loss_events", ConnStats::get(&self.loss_events)),
+            ("pkts_lost", ConnStats::get(&self.pkts_lost)),
+            ("exp_timeouts", ConnStats::get(&self.exp_timeouts)),
+            ("pkts_rejected", ConnStats::get(&self.pkts_rejected)),
+        ]
+    }
+}
+
 macro_rules! counter_set {
     (
         family $subsys:literal;
         $(#[$cmeta:meta])* counters $counters:ident;
         $(#[$smeta:meta])* snapshot $snapshot:ident;
         $( $(#[$fmeta:meta])* $field:ident ),+ $(,)?
+        $( ; fold($c:ident) { $( $pat:pat => $count:expr ),+ $(,)? } )?
     ) => {
         $(#[$cmeta])*
         #[derive(Debug, Default)]
@@ -190,6 +316,18 @@ macro_rules! counter_set {
             }
         }
 
+        $(
+            impl Fold for $counters {
+                fn apply(&self, kind: &EventKind) {
+                    let $c = self;
+                    match *kind {
+                        $( $pat => $count, )+
+                        _ => {}
+                    }
+                }
+            }
+        )?
+
         $(#[$smeta])*
         #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
         pub struct $snapshot {
@@ -208,7 +346,8 @@ counter_set! {
     counters ListenerCounters;
     /// Point-in-time copy of a [`ListenerCounters`].
     snapshot ListenerSnapshot;
-    /// Cookie challenges sent to uncookied connection requests.
+    /// Cookie challenges sent: to uncookied connection requests, and again
+    /// to a request whose cookie was wrong or had aged out.
     challenges_sent,
     /// Requests dropped for echoing a wrong/expired cookie.
     cookies_rejected,
@@ -220,7 +359,14 @@ counter_set! {
     /// Idle handshake-cache / session-table entries garbage-collected.
     gc_evictions,
     /// Connections successfully established and queued for accept.
-    handshakes_accepted,
+    handshakes_accepted;
+    fold(c) {
+        EventKind::Handshake { phase: HsPhase::Challenge, .. } => c.challenges_sent(1),
+        EventKind::Handshake { phase: HsPhase::Rejected, .. } => c.cookies_rejected(1),
+        EventKind::Handshake { phase: HsPhase::RateLimited, .. } => c.rate_limited(1),
+        EventKind::Handshake { phase: HsPhase::BacklogDrop, .. } => c.backlog_drops(1),
+        EventKind::Handshake { phase: HsPhase::Accepted, .. } => c.handshakes_accepted(1),
+    }
 }
 
 counter_set! {
@@ -236,7 +382,11 @@ counter_set! {
     /// Bytes *skipped* thanks to resume (confirmed before the outage and
     /// not re-sent). `file size − resumed_bytes` is what the retry had to
     /// move again.
-    resumed_bytes,
+    resumed_bytes;
+    fold(c) {
+        EventKind::Reconnect { .. } => c.reconnect_attempts(1),
+        EventKind::Resume { offset } => c.resumed_bytes(offset),
+    }
 }
 
 counter_set! {
@@ -249,13 +399,19 @@ counter_set! {
     snapshot AuthSnapshot;
     /// Packets whose trailer tag verified.
     tags_ok,
-    /// Packets dropped for a missing or invalid trailer tag.
+    /// Packets dropped for a missing or invalid trailer tag, and
+    /// handshakes whose UDT-AUTH field did not verify.
     tags_bad,
     /// Correctly-tagged packets dropped as replays.
     replays,
     /// Handshakes rejected for missing authentication under
     /// `AuthPolicy::Require`.
-    unauth_rejected,
+    unauth_rejected;
+    fold(c) {
+        EventKind::AuthFail { .. } => c.tags_bad(1),
+        EventKind::AuthReplay { .. } => c.replays(1),
+        EventKind::AuthReject { .. } => c.unauth_rejected(1),
+    }
 }
 
 counter_set! {
@@ -269,7 +425,8 @@ counter_set! {
     chunks_sent,
     /// Session chunks received on this path (including duplicates).
     chunks_recv,
-    /// Chunks pulled back from this path and re-queued after a failure.
+    /// Chunks re-queued after a failure: pulled back from this path when it
+    /// went down, or adopted by it when it came up and they had no owner.
     chunks_requeued,
     /// Times the path was declared down.
     path_downs,
@@ -278,7 +435,20 @@ counter_set! {
     /// Payload bytes sent on this path.
     bytes_sent,
     /// Payload bytes received on this path.
-    bytes_recv,
+    bytes_recv;
+    fold(c) {
+        EventKind::PathSend { bytes, .. } => {
+            c.chunks_sent(1);
+            c.bytes_sent(u64::from(bytes));
+        },
+        EventKind::PathRecv { bytes, .. } => {
+            c.chunks_recv(1);
+            c.bytes_recv(u64::from(bytes));
+        },
+        EventKind::PathLoss { lost, .. } => c.chunks_requeued(u64::from(lost)),
+        EventKind::PathDown { .. } => c.path_downs(1),
+        EventKind::PathUp { .. } => c.path_ups(1),
+    }
 }
 
 counter_set! {
@@ -426,6 +596,79 @@ mod tests {
         assert_eq!(zero.avg_recv_batch(), 0.0);
         assert_eq!(zero.avg_send_batch(), 0.0);
         assert_eq!(zero.pool_hit_rate(), 0.0);
+    }
+
+    #[test]
+    fn conn_stats_accumulate() {
+        let s = ConnStats::default();
+        ConnStats::inc(&s.bytes_sent, 3);
+        ConnStats::inc(&s.bytes_sent, 2);
+        assert_eq!(ConnStats::get(&s.bytes_sent), 5);
+        assert_eq!(ConnStats::get(&s.bytes_delivered), 0);
+    }
+
+    /// `kind`, and where one of its fields decides what is counted, one
+    /// copy per value of that field.
+    fn variations(kind: EventKind) -> Vec<EventKind> {
+        match kind {
+            EventKind::DataSend { seq, bytes, .. } => [false, true]
+                .map(|retx| EventKind::DataSend { seq, bytes, retx })
+                .to_vec(),
+            EventKind::DataDrop { seq, .. } => DropReason::ALL
+                .iter()
+                .map(|&reason| EventKind::DataDrop { seq, reason })
+                .collect(),
+            EventKind::TimerFire { count, .. } => TimerKind::ALL
+                .iter()
+                .map(|&timer| EventKind::TimerFire { timer, count })
+                .collect(),
+            EventKind::Handshake { peer, .. } => HsPhase::ALL
+                .iter()
+                .map(|&phase| EventKind::Handshake { phase, peer })
+                .collect(),
+            other => vec![other],
+        }
+    }
+
+    /// The counters of a fresh `F` that `kinds` move, as `family.field`.
+    fn moved<F: Fold + CounterFamily + Default>(kinds: &[EventKind]) -> Vec<String> {
+        let f = F::default();
+        kinds.iter().for_each(|k| f.apply(k));
+        let moved = f.samples().into_iter().filter(|(_, v)| *v > 0);
+        moved
+            .map(|(field, _)| format!("{}.{field}", f.subsystem()))
+            .collect()
+    }
+
+    /// Every event kind goes through every fold, and what each moves is
+    /// what DESIGN.md's event → counter table says: a new variant fails
+    /// here until someone has written down whether it counts.
+    #[test]
+    fn the_folds_are_the_event_to_counter_table_in_design_md() {
+        let design = include_str!("../../../DESIGN.md");
+        let table = design
+            .split("<!-- event-counter-table -->")
+            .nth(1)
+            .expect("DESIGN.md has the table between two markers");
+        let mut rows = std::collections::BTreeMap::new();
+        for line in table.lines().filter(|l| l.starts_with("| `")) {
+            let cells: Vec<&str> = line.split('|').map(str::trim).collect();
+            let ticked = |cell: &str| -> Vec<String> {
+                cell.split('`').skip(1).step_by(2).map(String::from).collect()
+            };
+            rows.insert(ticked(cells[1]).remove(0), ticked(cells[2]));
+        }
+        for kind in EventKind::all_kinds() {
+            let all = variations(kind);
+            let mut folded = moved::<ConnStats>(&all);
+            folded.extend(moved::<AuthCounters>(&all));
+            folded.extend(moved::<ListenerCounters>(&all));
+            folded.extend(moved::<SessionCounters>(&all));
+            folded.extend(moved::<PathCounters>(&all));
+            let documented = rows.remove(kind.name());
+            assert_eq!(documented, Some(folded), "DESIGN.md row for `{}`", kind.name());
+        }
+        assert!(rows.is_empty(), "rows for no event: {rows:?}");
     }
 
     #[test]

@@ -11,10 +11,10 @@
 //!
 //! Two kinds of sources feed a [`RegistrySnapshot`]:
 //!
-//! * owned metrics ([`Counter`], [`Gauge`], [`hist::Histogram`]) created
+//! * owned metrics ([`Counter`], [`Gauge`], [`Histogram`]) created
 //!   through the registry and bumped directly by the datapath;
 //! * *collectors* — closures over pre-existing counter structs (the
-//!   [`counters::CounterFamily`] implementations: Listener / Session /
+//!   [`CounterFamily`] implementations: Listener / Session /
 //!   Fault / Batch / Path / Auth) sampled lazily at snapshot time, so
 //!   legacy counter families join the namespace without changing their
 //!   hot paths.

@@ -5,9 +5,8 @@
 //! window — the same per-connection quantities `udt::conn` maintains,
 //! lifted here into a table the scheduler can read side by side.
 
-use std::sync::Arc;
-
 use udt_metrics::counters::PathCounters;
+use udt_trace::{Emitter, EventKind, Tracer};
 
 /// Identity of one path within a bonded session (0-based).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -43,6 +42,18 @@ pub struct PathEstimate {
     pub cwnd_pkts: f64,
 }
 
+impl PathEstimate {
+    /// This estimate as `path`'s periodic `path_rate` sample.
+    pub fn rate_event(&self, path: PathId) -> EventKind {
+        EventKind::PathRate {
+            path: path.0,
+            bw_pps: self.bw_pps,
+            rtt_us: self.rtt_us,
+            loss_pct: self.loss_pct,
+        }
+    }
+}
+
 /// Everything the session tracks about one path.
 #[derive(Debug)]
 pub struct PathState {
@@ -52,8 +63,9 @@ pub struct PathState {
     pub up: bool,
     /// Latest estimates from the underlying connection.
     pub est: PathEstimate,
-    /// Lock-free counters, shared with reader/writer threads.
-    pub counters: Arc<PathCounters>,
+    /// Where this path's `path_*` events go; its lock-free counters are
+    /// their fold. Reader/writer threads hold clones.
+    pub events: Emitter<PathCounters>,
 }
 
 /// The table of all paths in one bonded session. Index == `PathId.0`.
@@ -63,14 +75,15 @@ pub struct PathTable {
 }
 
 impl PathTable {
-    /// A table of `n` paths, all initially down with empty estimates.
-    pub fn new(n: usize) -> PathTable {
+    /// A table of `n` paths, all initially down with empty estimates,
+    /// whose events go to `tracer` tagged `conn`.
+    pub fn new(n: usize, tracer: &Tracer, conn: u32) -> PathTable {
         let paths = (0..n)
             .map(|i| PathState {
                 id: PathId::from_index(i),
                 up: false,
                 est: PathEstimate::default(),
-                counters: Arc::new(PathCounters::new()),
+                events: Emitter::new(tracer.clone(), conn, 0),
             })
             .collect();
         PathTable { paths }
@@ -137,9 +150,13 @@ impl PathTable {
 mod tests {
     use super::*;
 
+    fn table(n: usize) -> PathTable {
+        PathTable::new(n, &Tracer::disabled(), 0)
+    }
+
     #[test]
     fn table_transitions_and_up_set() {
-        let mut t = PathTable::new(3);
+        let mut t = table(3);
         assert_eq!(t.len(), 3);
         assert_eq!(t.up_count(), 0);
         assert!(t.mark_up(PathId(1)));
@@ -153,7 +170,7 @@ mod tests {
 
     #[test]
     fn estimates_update_in_place() {
-        let mut t = PathTable::new(1);
+        let mut t = table(1);
         let est = PathEstimate {
             bw_pps: 8000.0,
             rtt_us: 20_000.0,
@@ -167,12 +184,15 @@ mod tests {
 
     #[test]
     fn counters_flow_through_shared_handle() {
-        let t = PathTable::new(1);
-        let c = Arc::clone(&t.get(PathId(0)).counters);
-        c.chunks_sent(3);
-        c.path_downs(1);
-        let s = t.get(PathId(0)).counters.snapshot();
-        assert_eq!(s.chunks_sent, 3);
+        let t = table(1);
+        let e = t.get(PathId(0)).events.clone();
+        for seq in 0..3 {
+            let (path, bytes) = (0, 100);
+            e.emit(EventKind::PathSend { path, seq, bytes });
+        }
+        e.emit(EventKind::PathDown { path: 0 });
+        let s = t.get(PathId(0)).events.counters().snapshot();
+        assert_eq!((s.chunks_sent, s.bytes_sent), (3, 300));
         assert_eq!(s.path_downs, 1);
     }
 }

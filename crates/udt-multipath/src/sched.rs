@@ -147,7 +147,7 @@ mod tests {
     use crate::path::PathEstimate;
 
     fn table(bw: &[f64]) -> PathTable {
-        let mut t = PathTable::new(bw.len());
+        let mut t = PathTable::new(bw.len(), &udt_trace::Tracer::disabled(), 0);
         for (i, &b) in bw.iter().enumerate() {
             let id = PathId::from_index(i);
             t.mark_up(id);

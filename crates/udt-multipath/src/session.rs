@@ -227,7 +227,7 @@ impl BondedSender {
         }
         let shared = Arc::new(TxShared {
             core: Mutex::new(TxCore {
-                table: PathTable::new(n_paths),
+                table: PathTable::new(n_paths, &cfg.tracer, cfg.conn),
                 sched: cfg.sched.build(),
                 next_seq: cfg.init_seq,
                 snd_una: cfg.init_seq,
@@ -307,7 +307,7 @@ impl BondedSender {
     /// tear the session down.
     ///
     /// While waiting, FIN is re-sent on every up path each
-    /// [`FIN_RETX`]: the final cumulative ACK rides a quiescing
+    /// `FIN_RETX`: the final cumulative ACK rides a quiescing
     /// connection with nothing else in flight, so if it is lost the
     /// transport's own liveness machinery has no traffic to notice the
     /// silence by — each re-sent FIN elicits a fresh cumulative ACK
@@ -349,7 +349,7 @@ impl BondedSender {
     /// Per-path counter snapshots, in path-id order.
     pub fn counters(&self) -> Vec<PathSnapshot> {
         let g = self.shared.core.lock();
-        g.table.iter().map(|p| p.counters.snapshot()).collect()
+        g.table.iter().map(|p| p.events.counters().snapshot()).collect()
     }
 
     /// Number of paths currently up.
@@ -371,16 +371,15 @@ impl Drop for BondedSender {
     }
 }
 
-fn tx_mark_up(shared: &TxShared, cfg: &BondedCfg, p: PathId) {
+fn tx_mark_up(shared: &TxShared, p: PathId) {
     let mut g = shared.core.lock();
     if !g.table.mark_up(p) {
         return;
     }
-    g.table.get(p).counters.path_ups(1);
-    cfg.tracer.emit(cfg.conn, EventKind::PathUp { path: p.0 });
+    g.table.get(p).events.emit(EventKind::PathUp { path: p.0 });
     // Adopt any chunks orphaned while every path was down.
     let core = &mut *g;
-    let mut adopted = 0u64;
+    let mut adopted = 0u32;
     for (raw, chunk) in &mut core.store {
         if chunk.owners.is_empty() {
             chunk.owners.push(p.0);
@@ -389,19 +388,19 @@ fn tx_mark_up(shared: &TxShared, cfg: &BondedCfg, p: PathId) {
         }
     }
     if adopted > 0 {
-        core.table.get(p).counters.chunks_requeued(adopted);
+        let (path, lost) = (p.0, adopted);
+        core.table.get(p).events.emit(EventKind::PathLoss { path, lost });
     }
     drop(g);
     shared.cv.notify_all();
 }
 
-fn tx_mark_down(shared: &TxShared, cfg: &BondedCfg, p: PathId) {
+fn tx_mark_down(shared: &TxShared, p: PathId) {
     let mut g = shared.core.lock();
     if !g.table.mark_down(p) {
         return;
     }
-    g.table.get(p).counters.path_downs(1);
-    cfg.tracer.emit(cfg.conn, EventKind::PathDown { path: p.0 });
+    g.table.get(p).events.emit(EventKind::PathDown { path: p.0 });
     g.queues[p.0 as usize].clear();
     // Chunks this path solely owned migrate to the survivors, nearest
     // the ack frontier first (they gate the receiver's progress).
@@ -415,7 +414,7 @@ fn tx_mark_down(shared: &TxShared, cfg: &BondedCfg, p: PathId) {
     }
     let base = core.snd_una;
     orphans.sort_unstable_by_key(|&raw| base.offset_to(SeqNo::new(raw)));
-    let mut moved = 0u64;
+    let mut moved = 0u32;
     for raw in orphans {
         let owners = core.sched.assign(&core.table);
         if owners.is_empty() {
@@ -431,29 +430,15 @@ fn tx_mark_down(shared: &TxShared, cfg: &BondedCfg, p: PathId) {
         moved += 1;
     }
     if moved > 0 {
-        core.table.get(p).counters.chunks_requeued(moved);
-        cfg.tracer.emit(
-            cfg.conn,
-            EventKind::PathLoss {
-                path: p.0,
-                lost: u32::try_from(moved).unwrap_or(u32::MAX),
-            },
-        );
+        let (path, lost) = (p.0, moved);
+        core.table.get(p).events.emit(EventKind::PathLoss { path, lost });
     }
     drop(g);
     shared.cv.notify_all();
 }
 
-fn tx_writer_loop(
-    shared: &TxShared,
-    cfg: &BondedCfg,
-    p: PathId,
-    stream: &dyn PathStream,
-) -> WriterExit {
-    let counters = {
-        let g = shared.core.lock();
-        Arc::clone(&g.table.get(p).counters)
-    };
+fn tx_writer_loop(shared: &TxShared, p: PathId, stream: &dyn PathStream) -> WriterExit {
+    let events = shared.core.lock().table.get(p).events.clone();
     loop {
         let job = {
             let mut g = shared.core.lock();
@@ -510,16 +495,11 @@ fn tx_writer_loop(
                     g.queues[p.0 as usize].push_front(seq);
                     return WriterExit::SendFailed;
                 }
-                counters.chunks_sent(1);
-                counters.bytes_sent(payload_len as u64);
-                cfg.tracer.emit(
-                    cfg.conn,
-                    EventKind::PathSend {
-                        path: p.0,
-                        seq,
-                        bytes: u32::try_from(payload_len).unwrap_or(u32::MAX),
-                    },
-                );
+                events.emit(EventKind::PathSend {
+                    path: p.0,
+                    seq,
+                    bytes: u32::try_from(payload_len).unwrap_or(u32::MAX),
+                });
             }
             TxJob::Fin(frame) => {
                 if stream.send(&frame).is_err() {
@@ -532,7 +512,8 @@ fn tx_writer_loop(
     }
 }
 
-fn tx_reader_loop(shared: &TxShared, cfg: &BondedCfg, p: PathId, stream: &dyn PathStream) {
+fn tx_reader_loop(shared: &TxShared, p: PathId, stream: &dyn PathStream) {
+    let events = shared.core.lock().table.get(p).events.clone();
     let mut hdr = [0u8; MP_HEADER_LEN];
     let mut acks = 0u64;
     loop {
@@ -562,15 +543,7 @@ fn tx_reader_loop(shared: &TxShared, cfg: &BondedCfg, p: PathId, stream: &dyn Pa
                 g.table.update_estimate(p, est);
                 drop(g);
                 if acks.is_multiple_of(64) {
-                    cfg.tracer.emit(
-                        cfg.conn,
-                        EventKind::PathRate {
-                            path: p.0,
-                            bw_pps: est.bw_pps,
-                            rtt_us: est.rtt_us,
-                            loss_pct: est.loss_pct,
-                        },
-                    );
+                    events.emit(est.rate_event(p));
                 }
             }
             Ok(MpFrame::Data { len, .. }) => {
@@ -586,7 +559,7 @@ fn tx_reader_loop(shared: &TxShared, cfg: &BondedCfg, p: PathId, stream: &dyn Pa
     }
     let closed = shared.core.lock().closed;
     if !closed {
-        tx_mark_down(shared, cfg, p);
+        tx_mark_down(shared, p);
     }
 }
 
@@ -627,20 +600,19 @@ fn tx_path_thread(
             stream.close();
             continue;
         }
-        tx_mark_up(shared, cfg, p);
+        tx_mark_up(shared, p);
         attempts = 0;
         let reader = {
             let shared = Arc::clone(shared);
-            let cfg = cfg.clone();
             let stream = Arc::clone(&stream);
-            thread::spawn(move || tx_reader_loop(&shared, &cfg, p, stream.as_ref()))
+            thread::spawn(move || tx_reader_loop(&shared, p, stream.as_ref()))
         };
-        let exit = tx_writer_loop(shared, cfg, p, stream.as_ref());
+        let exit = tx_writer_loop(shared, p, stream.as_ref());
         stream.close();
         let _ = reader.join();
         match exit {
             WriterExit::Closed => break,
-            WriterExit::SendFailed => tx_mark_down(shared, cfg, p),
+            WriterExit::SendFailed => tx_mark_down(shared, p),
             WriterExit::PathDown => {}
         }
         if shared.core.lock().closed {
@@ -692,7 +664,7 @@ impl BondedReceiver {
     pub fn start(mut accept: AcceptFn, n_paths: usize, cfg: BondedCfg) -> BondedReceiver {
         let shared = Arc::new(RxShared {
             core: Mutex::new(RxCore {
-                table: PathTable::new(n_paths),
+                table: PathTable::new(n_paths, &cfg.tracer, cfg.conn),
                 reass: None,
                 out: VecDeque::new(),
                 closed: false,
@@ -784,14 +756,14 @@ impl BondedReceiver {
     /// Per-path counter snapshots, in path-id order.
     pub fn counters(&self) -> Vec<PathSnapshot> {
         let g = self.shared.core.lock();
-        g.table.iter().map(|p| p.counters.snapshot()).collect()
+        g.table.iter().map(|p| p.events.counters().snapshot()).collect()
     }
 
     /// Tear the receiver down: stop accepting, close every path stream,
     /// and join the worker threads.
     ///
     /// If the stream completed, the teardown first waits (up to
-    /// [`CLOSE_GRACE`]) for the sender to close the path streams from
+    /// `CLOSE_GRACE`) for the sender to close the path streams from
     /// its side: the final cumulative ACKs may still be unacknowledged
     /// in the transport, and closing immediately could discard them and
     /// strand the sender's `finish` without its last ACK.
@@ -855,7 +827,7 @@ fn rx_stream_loop(shared: &RxShared, stream: &Arc<dyn PathStream>) {
         return;
     };
     let pid = PathId(u32::from(path_id));
-    let counters = {
+    let events = {
         let mut g = shared.core.lock();
         if (pid.0 as usize) >= g.table.len() {
             stream.close();
@@ -864,11 +836,11 @@ fn rx_stream_loop(shared: &RxShared, stream: &Arc<dyn PathStream>) {
         if g.reass.is_none() {
             g.reass = Some(Reassembly::new(init_seq));
         }
+        let events = g.table.get(pid).events.clone();
         if g.table.mark_up(pid) {
-            g.table.get(pid).counters.path_ups(1);
-            cfg.tracer.emit(cfg.conn, EventKind::PathUp { path: pid.0 });
+            events.emit(EventKind::PathUp { path: pid.0 });
         }
-        Arc::clone(&g.table.get(pid).counters)
+        events
     };
     shared.cv.notify_all();
     let mut since_ack = 0u32;
@@ -906,16 +878,11 @@ fn rx_stream_loop(shared: &RxShared, stream: &Arc<dyn PathStream>) {
                     }
                     (advanced, complete, cum)
                 };
-                counters.chunks_recv(1);
-                counters.bytes_recv(u64::from(len));
-                cfg.tracer.emit(
-                    cfg.conn,
-                    EventKind::PathRecv {
-                        path: pid.0,
-                        seq: seq.raw(),
-                        bytes: len,
-                    },
-                );
+                events.emit(EventKind::PathRecv {
+                    path: pid.0,
+                    seq: seq.raw(),
+                    bytes: len,
+                });
                 if advanced {
                     shared.cv.notify_all();
                 }
@@ -935,15 +902,7 @@ fn rx_stream_loop(shared: &RxShared, stream: &Arc<dyn PathStream>) {
                     let mut g = shared.core.lock();
                     g.table.update_estimate(pid, est);
                     drop(g);
-                    cfg.tracer.emit(
-                        cfg.conn,
-                        EventKind::PathRate {
-                            path: pid.0,
-                            bw_pps: est.bw_pps,
-                            rtt_us: est.rtt_us,
-                            loss_pct: est.loss_pct,
-                        },
-                    );
+                    events.emit(est.rate_event(pid));
                 }
             }
             MpFrame::Fin { end } => {
@@ -969,8 +928,7 @@ fn rx_stream_loop(shared: &RxShared, stream: &Arc<dyn PathStream>) {
     let mut g = shared.core.lock();
     let clean = g.closed || g.reass.as_ref().is_some_and(Reassembly::complete);
     if g.table.mark_down(pid) && !clean {
-        counters.path_downs(1);
-        cfg.tracer.emit(cfg.conn, EventKind::PathDown { path: pid.0 });
+        events.emit(EventKind::PathDown { path: pid.0 });
     }
     drop(g);
     shared.cv.notify_all();

@@ -153,13 +153,10 @@ struct SimCore {
     out: Vec<u8>,
     total_len: usize,
     complete_at: Option<u64>,
-    per_path_chunks: Vec<u64>,
     /// Per-path arrival timestamps inside the sliding window.
     arrivals: Vec<VecDeque<u64>>,
     /// Static per-path RTT estimate (2 × one-way), microseconds.
     rtt_us: Vec<f64>,
-    tracer: Tracer,
-    conn: u32,
 }
 
 impl SimCore {
@@ -196,14 +193,8 @@ impl SimCore {
         }
         let idx = self.queues[p].pop_front()?;
         self.caches[p].insert(pseq.raw(), idx);
-        {
-            let c = &self.table.get(PathId(pid)).counters;
-            c.chunks_sent(1);
-            c.bytes_sent(u64::from(self.lens[idx]));
-        }
-        self.tracer.emit_at(
+        self.table.get(PathId(pid)).events.emit_at(
             now,
-            self.conn,
             EventKind::PathSend {
                 path: pid,
                 seq: self.seq_of(idx).raw(),
@@ -216,7 +207,6 @@ impl SimCore {
     /// Receiver-side sink for path `pid`: decode, reassemble, and update
     /// this path's arrival-rate estimate.
     fn absorb(&mut self, pid: u32, now: u64, payload: &Bytes) {
-        let p = pid as usize;
         let Ok(MpFrame::Data { seq, len }) = MpFrame::decode_header(payload) else {
             return; // not a session chunk (e.g. empty filler)
         };
@@ -225,15 +215,8 @@ impl SimCore {
             return;
         }
         let fresh = self.reass.offer(seq, payload[MP_HEADER_LEN..end].to_vec());
-        self.per_path_chunks[p] += 1;
-        {
-            let c = &self.table.get(PathId(pid)).counters;
-            c.chunks_recv(1);
-            c.bytes_recv(u64::from(len));
-        }
-        self.tracer.emit_at(
+        self.table.get(PathId(pid)).events.emit_at(
             now,
-            self.conn,
             EventKind::PathRecv {
                 path: pid,
                 seq: seq.raw(),
@@ -278,17 +261,9 @@ impl SimCore {
             ..PathEstimate::default()
         };
         self.table.update_estimate(PathId(pid), est);
-        if self.per_path_chunks[p].is_multiple_of(RATE_EVERY) {
-            self.tracer.emit_at(
-                now,
-                self.conn,
-                EventKind::PathRate {
-                    path: pid,
-                    bw_pps,
-                    rtt_us: est.rtt_us,
-                    loss_pct: est.loss_pct,
-                },
-            );
+        let events = &self.table.get(PathId(pid)).events;
+        if events.counters().snapshot().chunks_recv.is_multiple_of(RATE_EVERY) {
+            events.emit_at(now, est.rate_event(PathId(pid)));
         }
     }
 }
@@ -329,11 +304,11 @@ pub fn run_bonded_sim(cfg: &BondedSimCfg, data: &[u8], tracer: &Tracer) -> Bonde
         seq = seq.next();
     }
 
-    let mut table = PathTable::new(n);
+    let mut table = PathTable::new(n, tracer, cfg.conn);
     for p in 0..n {
         let pid = PathId::from_index(p);
         table.mark_up(pid);
-        tracer.emit_at(0, cfg.conn, EventKind::PathUp { path: pid.0 });
+        table.get(pid).events.emit_at(0, EventKind::PathUp { path: pid.0 });
     }
 
     let core = Rc::new(RefCell::new(SimCore {
@@ -349,15 +324,12 @@ pub fn run_bonded_sim(cfg: &BondedSimCfg, data: &[u8], tracer: &Tracer) -> Bonde
         out: Vec::with_capacity(data.len()),
         total_len: data.len(),
         complete_at: None,
-        per_path_chunks: vec![0; n],
         arrivals: (0..n).map(|_| VecDeque::new()).collect(),
         rtt_us: cfg
             .paths
             .iter()
             .map(|s| 2.0 * s.one_way.as_secs_f64() * 1e6)
             .collect(),
-        tracer: tracer.clone(),
-        conn: cfg.conn,
     }));
 
     for (p, (spec, &(src, dst, _))) in cfg.paths.iter().zip(&pairs).enumerate() {
@@ -403,7 +375,11 @@ pub fn run_bonded_sim(cfg: &BondedSimCfg, data: &[u8], tracer: &Tracer) -> Bonde
     BondedSimResult {
         out: c.out.clone(),
         complete_at_ns: c.complete_at,
-        per_path_chunks: c.per_path_chunks.clone(),
+        per_path_chunks: c
+            .table
+            .iter()
+            .map(|p| p.events.counters().snapshot().chunks_recv)
+            .collect(),
     }
 }
 

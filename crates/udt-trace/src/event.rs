@@ -1,12 +1,21 @@
-//! Typed trace events.
+//! Typed trace events, declared once.
 //!
 //! Every event is `Copy` with a fixed in-memory size so the ring buffer
 //! ([`crate::TraceBuf`]) never allocates on the hot path. Variable-length
 //! information (loss lists, fault-stage names) is condensed to fixed-size
 //! summaries: a NAK carries its first compressed range plus the range
 //! count, chaos faults carry a bounded [`Label`].
+//!
+//! The schema is the `events!` table at the bottom of this file: a variant,
+//! its wire name, and its fields in wire order, each with a sample value.
+//! The enum, [`EventKind::name`], the JSONL and CSV encoders, the parser
+//! behind [`crate::json::parse_line`] and [`EventKind::all_kinds`] are all
+//! generated from it, so a new event is one edit here. The string-valued
+//! field types are `wire_enum!` tables in the same manner.
 
 use std::fmt;
+
+use crate::json::{push_str_escaped, Value};
 
 /// Number of CPU cost categories in the Table 3 breakdown.
 ///
@@ -26,6 +35,84 @@ pub const CPU_CATEGORIES: [&str; CPU_CATEGORY_COUNT] = [
     "Application interaction",
     "Bandwidth/RTT/arrival measurement",
 ];
+
+/// A field type of the schema: how a value is written (as JSON, or as a
+/// value of the CSV `detail` column) and read back from a parsed line.
+pub(crate) trait Field: Sized {
+    fn write(&self, s: &mut String, csv: bool);
+    /// `v` is `None` when the line has no such field.
+    fn read(v: Option<&Value>) -> Option<Self>;
+}
+
+/// Strings are quoted and escaped in JSON, bare in CSV.
+fn write_str(s: &mut String, v: &str, csv: bool) {
+    if csv {
+        s.push_str(v);
+    } else {
+        push_str_escaped(s, v);
+    }
+}
+
+impl Field for u32 {
+    fn write(&self, s: &mut String, _csv: bool) {
+        s.push_str(&self.to_string());
+    }
+    fn read(v: Option<&Value>) -> Option<u32> {
+        v?.as_u64().and_then(|u| u32::try_from(u).ok())
+    }
+}
+
+impl Field for u64 {
+    fn write(&self, s: &mut String, _csv: bool) {
+        s.push_str(&self.to_string());
+    }
+    fn read(v: Option<&Value>) -> Option<u64> {
+        v?.as_u64()
+    }
+}
+
+impl Field for f64 {
+    fn write(&self, s: &mut String, _csv: bool) {
+        // Rust's float Display is the shortest round-trippable form; NaN/inf
+        // render as 0.
+        Value::Float(*self).render_into(s);
+    }
+    fn read(v: Option<&Value>) -> Option<f64> {
+        v?.as_f64()
+    }
+}
+
+impl Field for bool {
+    fn write(&self, s: &mut String, _csv: bool) {
+        s.push_str(if *self { "true" } else { "false" });
+    }
+    /// Absent reads as `false`.
+    fn read(v: Option<&Value>) -> Option<bool> {
+        Some(matches!(v, Some(Value::Bool(true))))
+    }
+}
+
+impl Field for [u64; CPU_CATEGORY_COUNT] {
+    fn write(&self, s: &mut String, csv: bool) {
+        let (open, sep, close) = if csv { ("", ";", "") } else { ("[", ",", "]") };
+        s.push_str(open);
+        for (i, n) in self.iter().enumerate() {
+            if i > 0 {
+                s.push_str(sep);
+            }
+            n.write(s, csv);
+        }
+        s.push_str(close);
+    }
+    fn read(v: Option<&Value>) -> Option<Self> {
+        let items: Vec<u64> = v?
+            .items()?
+            .iter()
+            .map(Value::as_u64)
+            .collect::<Option<_>>()?;
+        items.try_into().ok()
+    }
+}
 
 /// A bounded, `Copy`, allocation-free ASCII label (up to 15 bytes; longer
 /// inputs are truncated). Used where an event must carry a short name that
@@ -69,485 +156,466 @@ impl fmt::Display for Label {
     }
 }
 
-/// Why a packet was dropped (receive-side or in an emulated link).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DropReason {
-    /// Failed the receive-side plausibility gate (far outside the window).
-    Implausible,
-    /// Already delivered or buffered.
-    Duplicate,
-    /// No space in the receive buffer.
-    BufferFull,
-    /// Tail-dropped by an emulated link queue.
-    Queue,
-    /// Random loss injected by an emulated link.
-    RandomLoss,
-    /// Shed by the UDP demultiplexer (per-connection queue full).
-    Shed,
+impl Field for Label {
+    fn write(&self, s: &mut String, csv: bool) {
+        write_str(s, self.as_str(), csv);
+    }
+    fn read(v: Option<&Value>) -> Option<Label> {
+        v?.as_str().map(Label::new)
+    }
 }
 
-impl DropReason {
-    /// Stable wire name.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            DropReason::Implausible => "implausible",
-            DropReason::Duplicate => "duplicate",
-            DropReason::BufferFull => "buffer_full",
-            DropReason::Queue => "queue",
-            DropReason::RandomLoss => "random_loss",
-            DropReason::Shed => "shed",
+/// An enum that travels as a string: the type, its wire names both ways,
+/// the list of its variants and its [`Field`] codec, from one table.
+macro_rules! wire_enum {
+    (
+        $(#[$meta:meta])* $name:ident {
+            $( $(#[$vmeta:meta])* $variant:ident = $wire:literal ),+ $(,)?
         }
-    }
-
-    /// Parse a wire name.
-    pub fn from_name(s: &str) -> Option<DropReason> {
-        Some(match s {
-            "implausible" => DropReason::Implausible,
-            "duplicate" => DropReason::Duplicate,
-            "buffer_full" => DropReason::BufferFull,
-            "queue" => DropReason::Queue,
-            "random_loss" => DropReason::RandomLoss,
-            "shed" => DropReason::Shed,
-            _ => return None,
-        })
-    }
-}
-
-/// Which protocol timer fired.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TimerKind {
-    /// Periodic ACK timer (SYN-paced).
-    Ack,
-    /// NAK retransmission timer.
-    Nak,
-    /// Expiration / keep-alive timer.
-    Exp,
-    /// Send pacing timer (reported only on freeze/resume, not per packet).
-    Snd,
-}
-
-impl TimerKind {
-    /// Stable wire name.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            TimerKind::Ack => "ack",
-            TimerKind::Nak => "nak",
-            TimerKind::Exp => "exp",
-            TimerKind::Snd => "snd",
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum $name {
+            $( $(#[$vmeta])* $variant, )+
         }
-    }
 
-    /// Parse a wire name.
-    pub fn from_name(s: &str) -> Option<TimerKind> {
-        Some(match s {
-            "ack" => TimerKind::Ack,
-            "nak" => TimerKind::Nak,
-            "exp" => TimerKind::Exp,
-            "snd" => TimerKind::Snd,
-            _ => return None,
-        })
-    }
-}
+        impl $name {
+            /// Every variant, in declaration order.
+            pub const ALL: &'static [$name] = &[$($name::$variant),+];
 
-/// Connection lifecycle states, as seen by the tracer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConnState {
-    /// Handshake in progress.
-    Connecting,
-    /// Established.
-    Connected,
-    /// Local close initiated.
-    Closing,
-    /// Fully closed.
-    Closed,
-    /// Peer unresponsive past the expiration ladder.
-    Broken,
-}
+            /// Stable wire name.
+            pub fn as_str(self) -> &'static str {
+                match self {
+                    $( $name::$variant => $wire, )+
+                }
+            }
 
-impl ConnState {
-    /// Stable wire name.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ConnState::Connecting => "connecting",
-            ConnState::Connected => "connected",
-            ConnState::Closing => "closing",
-            ConnState::Closed => "closed",
-            ConnState::Broken => "broken",
+            /// Parse a wire name.
+            pub fn from_name(s: &str) -> Option<$name> {
+                match s {
+                    $( $wire => Some($name::$variant), )+
+                    _ => None,
+                }
+            }
         }
-    }
 
-    /// Parse a wire name.
-    pub fn from_name(s: &str) -> Option<ConnState> {
-        Some(match s {
-            "connecting" => ConnState::Connecting,
-            "connected" => ConnState::Connected,
-            "closing" => ConnState::Closing,
-            "closed" => ConnState::Closed,
-            "broken" => ConnState::Broken,
-            _ => return None,
-        })
-    }
-}
-
-/// Handshake phases (client and listener sides share the vocabulary).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HsPhase {
-    /// Client sent a connection request.
-    Request,
-    /// Listener answered with a SYN-cookie challenge.
-    Challenge,
-    /// Listener sent (or client received) the final response.
-    Response,
-    /// Connection accepted/established.
-    Accepted,
-    /// Handshake rejected (bad version, MSS, cookie …).
-    Rejected,
-    /// Listener shed the request due to rate limiting.
-    RateLimited,
-    /// Listener shed the request because the accept backlog was full.
-    BacklogDrop,
-}
-
-impl HsPhase {
-    /// Stable wire name.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            HsPhase::Request => "request",
-            HsPhase::Challenge => "challenge",
-            HsPhase::Response => "response",
-            HsPhase::Accepted => "accepted",
-            HsPhase::Rejected => "rejected",
-            HsPhase::RateLimited => "rate_limited",
-            HsPhase::BacklogDrop => "backlog_drop",
+        impl Field for $name {
+            fn write(&self, s: &mut String, csv: bool) {
+                write_str(s, self.as_str(), csv);
+            }
+            fn read(v: Option<&Value>) -> Option<$name> {
+                $name::from_name(v?.as_str()?)
+            }
         }
-    }
+    };
+}
 
-    /// Parse a wire name.
-    pub fn from_name(s: &str) -> Option<HsPhase> {
-        Some(match s {
-            "request" => HsPhase::Request,
-            "challenge" => HsPhase::Challenge,
-            "response" => HsPhase::Response,
-            "accepted" => HsPhase::Accepted,
-            "rejected" => HsPhase::Rejected,
-            "rate_limited" => HsPhase::RateLimited,
-            "backlog_drop" => HsPhase::BacklogDrop,
-            _ => return None,
-        })
+wire_enum! {
+    /// Why a packet was dropped (receive-side or in an emulated link).
+    DropReason {
+        /// Outside any window the peer could legitimately use: a data
+        /// sequence number far beyond the receive window, an ACK for data
+        /// never sent, a NAK range with nothing live in it.
+        Implausible = "implausible",
+        /// Already delivered or buffered.
+        Duplicate = "duplicate",
+        /// No space in the receive buffer.
+        BufferFull = "buffer_full",
+        /// Tail-dropped by an emulated link queue.
+        Queue = "queue",
+        /// Random loss injected by an emulated link.
+        RandomLoss = "random_loss",
+        /// Shed by the UDP demultiplexer (per-connection queue full).
+        Shed = "shed",
     }
 }
 
-/// Which buffer a watermark event describes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BufSide {
-    /// Send buffer.
-    Snd,
-    /// Receive buffer.
-    Rcv,
+wire_enum! {
+    /// Which protocol timer fired.
+    TimerKind {
+        /// Periodic ACK timer (SYN-paced).
+        Ack = "ack",
+        /// NAK retransmission timer.
+        Nak = "nak",
+        /// Expiration / keep-alive timer.
+        Exp = "exp",
+        /// Send pacing timer (reported only on freeze/resume, not per packet).
+        Snd = "snd",
+    }
 }
 
-impl BufSide {
-    /// Stable wire name.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            BufSide::Snd => "snd",
-            BufSide::Rcv => "rcv",
+wire_enum! {
+    /// Connection lifecycle states, as seen by the tracer.
+    ConnState {
+        /// Handshake in progress.
+        Connecting = "connecting",
+        /// Established.
+        Connected = "connected",
+        /// Local close initiated.
+        Closing = "closing",
+        /// Fully closed.
+        Closed = "closed",
+        /// Peer unresponsive past the expiration ladder.
+        Broken = "broken",
+    }
+}
+
+wire_enum! {
+    /// Handshake phases (client and listener sides share the vocabulary).
+    HsPhase {
+        /// Client sent a connection request.
+        Request = "request",
+        /// Listener answered with a SYN-cookie challenge.
+        Challenge = "challenge",
+        /// Listener sent (or client received) the final response.
+        Response = "response",
+        /// Connection accepted/established.
+        Accepted = "accepted",
+        /// Handshake rejected (bad version, MSS, cookie …).
+        Rejected = "rejected",
+        /// Listener shed the request due to rate limiting.
+        RateLimited = "rate_limited",
+        /// Listener shed the request because the accept backlog was full.
+        BacklogDrop = "backlog_drop",
+    }
+}
+
+wire_enum! {
+    /// Which buffer a watermark event describes.
+    BufSide {
+        /// Send buffer.
+        Snd = "snd",
+        /// Receive buffer.
+        Rcv = "rcv",
+    }
+}
+
+/// The schema table: `Variant = "wire name" { field: type = sample, … }`,
+/// fields in wire order. Generates [`EventKind`] and everything that has to
+/// know its shape.
+macro_rules! events {
+    (
+        $(
+            $(#[$vmeta:meta])* $variant:ident = $wire:literal {
+                $( $(#[$fmeta:meta])* $field:ident : $ty:ty = $sample:expr ),* $(,)?
+            }
+        ),+ $(,)?
+    ) => {
+        /// The event payload. All variants are fixed-size and `Copy`.
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        pub enum EventKind {
+            $(
+                $(#[$vmeta])*
+                $variant {
+                    $( $(#[$fmeta])* $field: $ty, )*
+                },
+            )+
         }
-    }
 
-    /// Parse a wire name.
-    pub fn from_name(s: &str) -> Option<BufSide> {
-        Some(match s {
-            "snd" => BufSide::Snd,
-            "rcv" => BufSide::Rcv,
-            _ => return None,
-        })
-    }
+        impl EventKind {
+            /// Stable wire name of the variant (the `"ev"` JSON field).
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $( EventKind::$variant { .. } => $wire, )+
+                }
+            }
+
+            /// One sample of every variant, in declaration order: what the
+            /// codec tests round-trip and the counter folds are enumerated
+            /// against.
+            pub fn all_kinds() -> Vec<EventKind> {
+                vec![
+                    $( EventKind::$variant { $( $field: $sample, )* }, )+
+                ]
+            }
+
+            /// Append the fields in wire order: `,"name":value` for JSON;
+            /// space-separated `name=value` for CSV, where `s` is the
+            /// `detail` column alone.
+            pub(crate) fn write_fields(&self, s: &mut String, csv: bool) {
+                match self {
+                    $(
+                        EventKind::$variant { $( $field, )* } => {
+                            $(
+                                if !csv {
+                                    s.push_str(concat!(",\"", stringify!($field), "\":"));
+                                } else {
+                                    if !s.is_empty() {
+                                        s.push(' ');
+                                    }
+                                    s.push_str(concat!(stringify!($field), "="));
+                                }
+                                $field.write(s, csv);
+                            )*
+                        }
+                    )+
+                }
+            }
+
+            /// The event named `name` from the fields of a parsed line.
+            pub(crate) fn read(name: &str, obj: &Value) -> Result<EventKind, String> {
+                match name {
+                    $(
+                        $wire => Ok(EventKind::$variant {
+                            $(
+                                $field: <$ty as Field>::read(obj.get(stringify!($field)))
+                                    .ok_or_else(|| {
+                                        format!(
+                                            concat!("{}: missing or malformed ", stringify!($field)),
+                                            name
+                                        )
+                                    })?,
+                            )*
+                        }),
+                    )+
+                    other => Err(format!("unknown event kind {other:?}")),
+                }
+            }
+        }
+    };
 }
 
-/// The event payload. All variants are fixed-size and `Copy`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum EventKind {
+events! {
     /// A data packet left the sender (`retx` = retransmission).
-    DataSend {
+    DataSend = "data_send" {
         /// Packet sequence number.
-        seq: u32,
+        seq: u32 = 7,
         /// Payload bytes.
-        bytes: u32,
+        bytes: u32 = 1472,
         /// True when popped from the loss list.
-        retx: bool,
+        retx: bool = true,
     },
     /// A data packet arrived at the receiver.
-    DataRecv {
+    DataRecv = "data_recv" {
         /// Packet sequence number.
-        seq: u32,
+        seq: u32 = 8,
         /// Payload bytes.
-        bytes: u32,
+        bytes: u32 = 100,
     },
     /// A packet was discarded.
-    DataDrop {
+    DataDrop = "data_drop" {
         /// Packet sequence number (0 when unknown, e.g. link-level drops).
-        seq: u32,
+        seq: u32 = 9,
         /// Why.
-        reason: DropReason,
+        reason: DropReason = DropReason::Queue,
     },
     /// ACK transmitted.
-    AckSend {
+    AckSend = "ack_send" {
         /// ACK sub-sequence number.
-        ack_no: u32,
+        ack_no: u32 = 3,
         /// Acknowledged data sequence number.
-        ack_seq: u32,
+        ack_seq: u32 = 100,
     },
     /// ACK received.
-    AckRecv {
+    AckRecv = "ack_recv" {
         /// ACK sub-sequence number.
-        ack_no: u32,
+        ack_no: u32 = 3,
         /// Acknowledged data sequence number.
-        ack_seq: u32,
+        ack_seq: u32 = 100,
     },
     /// ACK2 transmitted.
-    Ack2Send {
+    Ack2Send = "ack2_send" {
         /// Echoed ACK sub-sequence number.
-        ack_no: u32,
+        ack_no: u32 = 3,
     },
     /// ACK2 received.
-    Ack2Recv {
+    Ack2Recv = "ack2_recv" {
         /// Echoed ACK sub-sequence number.
-        ack_no: u32,
+        ack_no: u32 = 3,
     },
     /// NAK transmitted; `first_lo..=first_hi` is the first compressed
     /// range, `ranges` the total number of ranges in the packet.
-    NakSend {
+    NakSend = "nak_send" {
         /// First range start.
-        first_lo: u32,
+        first_lo: u32 = 10,
         /// First range end (inclusive).
-        first_hi: u32,
+        first_hi: u32 = 12,
         /// Number of compressed ranges.
-        ranges: u32,
+        ranges: u32 = 2,
     },
     /// NAK received (same encoding as [`EventKind::NakSend`]).
-    NakRecv {
+    NakRecv = "nak_recv" {
         /// First range start.
-        first_lo: u32,
+        first_lo: u32 = 10,
         /// First range end (inclusive).
-        first_hi: u32,
+        first_hi: u32 = 12,
         /// Number of compressed ranges.
-        ranges: u32,
+        ranges: u32 = 2,
     },
     /// Receiver detected a sequence gap.
-    LossDetected {
+    LossDetected = "loss" {
         /// First missing sequence number.
-        first_lo: u32,
+        first_lo: u32 = 10,
         /// Last missing sequence number (inclusive).
-        first_hi: u32,
+        first_hi: u32 = 12,
     },
     /// Rate-control update (inter-packet period and window).
-    RateUpdate {
+    RateUpdate = "rate" {
         /// Inter-packet send period, microseconds.
-        period_us: f64,
+        period_us: f64 = 11.25,
         /// Congestion window, packets.
-        cwnd: f64,
+        cwnd: f64 = 4096.0,
     },
     /// RTT estimator update.
-    RttUpdate {
+    RttUpdate = "rtt" {
         /// Smoothed RTT, microseconds.
-        rtt_us: u32,
+        rtt_us: u32 = 100_000,
         /// RTT variance, microseconds.
-        var_us: u32,
+        var_us: u32 = 25_000,
     },
     /// Packet-pair bandwidth estimate update.
-    BwEstimate {
+    BwEstimate = "bw" {
         /// Estimated capacity, packets per second.
-        pps: f64,
+        pps: f64 = 83333.33,
     },
     /// A protocol timer fired.
-    TimerFire {
+    TimerFire = "timer" {
         /// Which timer.
-        timer: TimerKind,
+        timer: TimerKind = TimerKind::Exp,
         /// Consecutive fire count (EXP ladder position, etc.).
-        count: u32,
+        count: u32 = 5,
     },
     /// Connection state transition.
-    StateChange {
+    StateChange = "state" {
         /// Previous state.
-        from: ConnState,
+        from: ConnState = ConnState::Connected,
         /// New state.
-        to: ConnState,
+        to: ConnState = ConnState::Broken,
     },
     /// Handshake progress.
-    Handshake {
+    Handshake = "handshake" {
         /// Phase.
-        phase: HsPhase,
+        phase: HsPhase = HsPhase::Accepted,
         /// Peer socket id (0 when unknown).
-        peer: u32,
+        peer: u32 = 0xDEAD,
     },
     /// Resilient-session reconnect attempt.
-    Reconnect {
+    Reconnect = "reconnect" {
         /// Attempt number (1-based).
-        attempt: u32,
+        attempt: u32 = 2,
         /// Backoff applied before the attempt, milliseconds.
-        backoff_ms: u32,
+        backoff_ms: u32 = 250,
     },
     /// Resumable transfer resumed at an offset.
-    Resume {
+    Resume = "resume" {
         /// Byte offset the transfer resumed from.
-        offset: u64,
+        offset: u64 = 1 << 40,
     },
     /// Buffer occupancy watermark.
-    BufLevel {
+    BufLevel = "buf" {
         /// Which buffer.
-        side: BufSide,
+        side: BufSide = BufSide::Rcv,
         /// Packets in use.
-        used: u32,
+        used: u32 = 100,
         /// Capacity, packets.
-        cap: u32,
+        cap: u32 = 8192,
     },
     /// A chaos impairment decision (injected fault).
-    ChaosFault {
+    ChaosFault = "chaos" {
         /// Impairment stage name (e.g. "loss", "reorder").
-        stage: Label,
+        stage: Label = Label::new("loss"),
         /// Fault kind (e.g. "drop", "delay", "dup", "corrupt").
-        kind: Label,
+        kind: Label = Label::new("drop"),
         /// Stage-specific magnitude (delay µs, dup copies …).
-        magnitude: u64,
+        magnitude: u64 = 1,
     },
     /// Periodic performance sample (udtperf `--trace`).
-    PerfSample {
+    PerfSample = "perf" {
         /// Smoothed RTT, microseconds.
-        rtt_us: f64,
+        rtt_us: f64 = 199.5,
         /// Inter-packet send period, microseconds.
-        period_us: f64,
+        period_us: f64 = 12.0,
         /// Congestion window, packets.
-        cwnd: f64,
+        cwnd: f64 = 16.0,
         /// Send rate over the interval, packets per second.
-        rate_pps: f64,
+        rate_pps: f64 = 80000.0,
         /// Estimated link capacity, packets per second.
-        bw_pps: f64,
+        bw_pps: f64 = 83000.0,
         /// Cumulative packets sent.
-        sent: u64,
+        sent: u64 = 123456,
         /// Cumulative packets retransmitted.
-        retx_pkts: u64,
+        retx_pkts: u64 = 12,
         /// Cumulative payload bytes handed to the socket.
-        bytes: u64,
+        bytes: u64 = 1_000_000,
         /// Cumulative payload bytes delivered to the peer application.
-        delivered: u64,
+        delivered: u64 = 990_000,
     },
     /// Table 3 CPU breakdown snapshot (cumulative nanoseconds per
     /// category, `udt::instrument` order).
-    CpuBreakdown {
+    CpuBreakdown = "cpu" {
         /// Cumulative nanoseconds per category.
-        nanos: [u64; CPU_CATEGORY_COUNT],
+        nanos: [u64; CPU_CATEGORY_COUNT] = [1, 2, 3, 4, 5, 6, 7, 8, 9],
     },
     /// A bonded-session path became usable (joined or rejoined).
-    PathUp {
+    PathUp = "path_up" {
         /// Path id within the bonded session.
-        path: u32,
+        path: u32 = 2,
     },
     /// A bonded-session path was declared dead (EXP escalation, socket
     /// error); traffic migrates to the surviving paths.
-    PathDown {
+    PathDown = "path_down" {
         /// Path id within the bonded session.
-        path: u32,
+        path: u32 = 2,
     },
     /// A session chunk was dispatched on a path.
-    PathSend {
+    PathSend = "path_send" {
         /// Path id within the bonded session.
-        path: u32,
+        path: u32 = 1,
         /// Session-level sequence number of the chunk.
-        seq: u32,
+        seq: u32 = 0x7FFF_FFFF,
         /// Chunk payload bytes.
-        bytes: u32,
+        bytes: u32 = 1452,
     },
     /// A session chunk arrived from a path.
-    PathRecv {
+    PathRecv = "path_recv" {
         /// Path id within the bonded session.
-        path: u32,
+        path: u32 = 1,
         /// Session-level sequence number of the chunk.
-        seq: u32,
+        seq: u32 = 0,
         /// Chunk payload bytes.
-        bytes: u32,
+        bytes: u32 = 1452,
     },
     /// Chunks were requeued away from a path (loss or failover).
-    PathLoss {
+    PathLoss = "path_loss" {
         /// Path id within the bonded session.
-        path: u32,
+        path: u32 = 0,
         /// Chunks requeued to other paths.
-        lost: u32,
+        lost: u32 = 17,
     },
     /// Periodic per-path estimator sample feeding the scheduler.
-    PathRate {
+    PathRate = "path_rate" {
         /// Path id within the bonded session.
-        path: u32,
+        path: u32 = 3,
         /// Estimated path capacity, packets per second.
-        bw_pps: f64,
+        bw_pps: f64 = 8333.5,
         /// Smoothed path RTT, microseconds.
-        rtt_us: f64,
+        rtt_us: f64 = 20125.0,
         /// Path loss rate over the sample window, percent.
-        loss_pct: f64,
+        loss_pct: f64 = 0.75,
     },
     /// A packet failed trailer-tag verification and was dropped before
     /// decode (authenticated profile).
-    AuthFail {
+    AuthFail = "auth_fail" {
         /// Data sequence number when the packet was data; 0 for control.
-        seq: u32,
+        seq: u32 = 101,
     },
     /// A correctly-tagged packet was dropped as a replay.
-    AuthReplay {
+    AuthReplay = "auth_replay" {
         /// Replayed data sequence number.
-        seq: u32,
+        seq: u32 = 102,
     },
     /// A handshake was rejected for failing the authentication policy
     /// (missing/invalid UDT-AUTH field under `Require`).
-    AuthReject {
+    AuthReject = "auth_reject" {
         /// Peer socket id (0 when unknown).
-        peer: u32,
+        peer: u32 = 0xBEEF,
     },
     /// A batched delivery arrived from the demultiplexer (batched
     /// datapath): one receiver wakeup processed this many packets.
-    BatchRecv {
+    BatchRecv = "batch" {
         /// Packets in the batch.
-        pkts: u32,
+        pkts: u32 = 27,
     },
-}
-
-impl EventKind {
-    /// Stable wire name of the variant (the `"ev"` JSON field).
-    pub fn name(&self) -> &'static str {
-        match self {
-            EventKind::DataSend { .. } => "data_send",
-            EventKind::DataRecv { .. } => "data_recv",
-            EventKind::DataDrop { .. } => "data_drop",
-            EventKind::AckSend { .. } => "ack_send",
-            EventKind::AckRecv { .. } => "ack_recv",
-            EventKind::Ack2Send { .. } => "ack2_send",
-            EventKind::Ack2Recv { .. } => "ack2_recv",
-            EventKind::NakSend { .. } => "nak_send",
-            EventKind::NakRecv { .. } => "nak_recv",
-            EventKind::LossDetected { .. } => "loss",
-            EventKind::RateUpdate { .. } => "rate",
-            EventKind::RttUpdate { .. } => "rtt",
-            EventKind::BwEstimate { .. } => "bw",
-            EventKind::TimerFire { .. } => "timer",
-            EventKind::StateChange { .. } => "state",
-            EventKind::Handshake { .. } => "handshake",
-            EventKind::Reconnect { .. } => "reconnect",
-            EventKind::Resume { .. } => "resume",
-            EventKind::BufLevel { .. } => "buf",
-            EventKind::ChaosFault { .. } => "chaos",
-            EventKind::PerfSample { .. } => "perf",
-            EventKind::CpuBreakdown { .. } => "cpu",
-            EventKind::PathUp { .. } => "path_up",
-            EventKind::PathDown { .. } => "path_down",
-            EventKind::PathSend { .. } => "path_send",
-            EventKind::PathRecv { .. } => "path_recv",
-            EventKind::PathLoss { .. } => "path_loss",
-            EventKind::PathRate { .. } => "path_rate",
-            EventKind::AuthFail { .. } => "auth_fail",
-            EventKind::AuthReplay { .. } => "auth_replay",
-            EventKind::AuthReject { .. } => "auth_reject",
-            EventKind::BatchRecv { .. } => "batch",
-        }
-    }
 }
 
 /// One trace record: a timestamp, a connection (or flow) id, and the
@@ -601,42 +669,34 @@ mod tests {
 
     #[test]
     fn enum_wire_names_roundtrip() {
-        for r in [
-            DropReason::Implausible,
-            DropReason::Duplicate,
-            DropReason::BufferFull,
-            DropReason::Queue,
-            DropReason::RandomLoss,
-            DropReason::Shed,
-        ] {
-            assert_eq!(DropReason::from_name(r.as_str()), Some(r));
+        fn all<T: Copy + PartialEq + fmt::Debug>(
+            all: &[T],
+            name: fn(T) -> &'static str,
+            parse: fn(&str) -> Option<T>,
+        ) {
+            for &v in all {
+                assert_eq!(parse(name(v)), Some(v));
+            }
+            assert_eq!(parse("nope"), None);
         }
-        for t in [TimerKind::Ack, TimerKind::Nak, TimerKind::Exp, TimerKind::Snd] {
-            assert_eq!(TimerKind::from_name(t.as_str()), Some(t));
+        all(DropReason::ALL, DropReason::as_str, DropReason::from_name);
+        all(TimerKind::ALL, TimerKind::as_str, TimerKind::from_name);
+        all(ConnState::ALL, ConnState::as_str, ConnState::from_name);
+        all(HsPhase::ALL, HsPhase::as_str, HsPhase::from_name);
+        all(BufSide::ALL, BufSide::as_str, BufSide::from_name);
+    }
+
+    #[test]
+    fn wire_names_are_unique_and_the_readme_lists_every_one() {
+        let readme = include_str!("../../../README.md");
+        let mut seen = std::collections::BTreeSet::new();
+        for kind in EventKind::all_kinds() {
+            assert!(seen.insert(kind.name()), "{} declared twice", kind.name());
+            assert!(
+                readme.contains(&format!("`{}`", kind.name())),
+                "README.md's schema section does not list `{}`",
+                kind.name()
+            );
         }
-        for s in [
-            ConnState::Connecting,
-            ConnState::Connected,
-            ConnState::Closing,
-            ConnState::Closed,
-            ConnState::Broken,
-        ] {
-            assert_eq!(ConnState::from_name(s.as_str()), Some(s));
-        }
-        for p in [
-            HsPhase::Request,
-            HsPhase::Challenge,
-            HsPhase::Response,
-            HsPhase::Accepted,
-            HsPhase::Rejected,
-            HsPhase::RateLimited,
-            HsPhase::BacklogDrop,
-        ] {
-            assert_eq!(HsPhase::from_name(p.as_str()), Some(p));
-        }
-        for b in [BufSide::Snd, BufSide::Rcv] {
-            assert_eq!(BufSide::from_name(b.as_str()), Some(b));
-        }
-        assert_eq!(DropReason::from_name("nope"), None);
     }
 }

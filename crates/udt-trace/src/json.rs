@@ -13,10 +13,7 @@
 // cast sites (tolerating numbers an external tool re-serialised as floats).
 #![allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
 
-use crate::event::{
-    BufSide, ConnState, DropReason, EventKind, HsPhase, Label, TimerKind, TraceEvent,
-    CPU_CATEGORY_COUNT,
-};
+use crate::event::{EventKind, TraceEvent};
 
 /// Encode one event as a single-line JSON object (no trailing newline).
 pub fn encode(ev: &TraceEvent) -> String {
@@ -28,150 +25,7 @@ pub fn encode(ev: &TraceEvent) -> String {
     s.push_str(",\"ev\":\"");
     s.push_str(ev.kind.name());
     s.push('"');
-    match &ev.kind {
-        EventKind::DataSend { seq, bytes, retx } => {
-            field_u(&mut s, "seq", u64::from(*seq));
-            field_u(&mut s, "bytes", u64::from(*bytes));
-            field_bool(&mut s, "retx", *retx);
-        }
-        EventKind::DataRecv { seq, bytes } => {
-            field_u(&mut s, "seq", u64::from(*seq));
-            field_u(&mut s, "bytes", u64::from(*bytes));
-        }
-        EventKind::DataDrop { seq, reason } => {
-            field_u(&mut s, "seq", u64::from(*seq));
-            field_str(&mut s, "reason", reason.as_str());
-        }
-        EventKind::AckSend { ack_no, ack_seq } | EventKind::AckRecv { ack_no, ack_seq } => {
-            field_u(&mut s, "ack_no", u64::from(*ack_no));
-            field_u(&mut s, "ack_seq", u64::from(*ack_seq));
-        }
-        EventKind::Ack2Send { ack_no } | EventKind::Ack2Recv { ack_no } => {
-            field_u(&mut s, "ack_no", u64::from(*ack_no));
-        }
-        EventKind::NakSend {
-            first_lo,
-            first_hi,
-            ranges,
-        }
-        | EventKind::NakRecv {
-            first_lo,
-            first_hi,
-            ranges,
-        } => {
-            field_u(&mut s, "first_lo", u64::from(*first_lo));
-            field_u(&mut s, "first_hi", u64::from(*first_hi));
-            field_u(&mut s, "ranges", u64::from(*ranges));
-        }
-        EventKind::LossDetected { first_lo, first_hi } => {
-            field_u(&mut s, "first_lo", u64::from(*first_lo));
-            field_u(&mut s, "first_hi", u64::from(*first_hi));
-        }
-        EventKind::RateUpdate { period_us, cwnd } => {
-            field_f(&mut s, "period_us", *period_us);
-            field_f(&mut s, "cwnd", *cwnd);
-        }
-        EventKind::RttUpdate { rtt_us, var_us } => {
-            field_u(&mut s, "rtt_us", u64::from(*rtt_us));
-            field_u(&mut s, "var_us", u64::from(*var_us));
-        }
-        EventKind::BwEstimate { pps } => {
-            field_f(&mut s, "pps", *pps);
-        }
-        EventKind::TimerFire { timer, count } => {
-            field_str(&mut s, "timer", timer.as_str());
-            field_u(&mut s, "count", u64::from(*count));
-        }
-        EventKind::StateChange { from, to } => {
-            field_str(&mut s, "from", from.as_str());
-            field_str(&mut s, "to", to.as_str());
-        }
-        EventKind::Handshake { phase, peer } => {
-            field_str(&mut s, "phase", phase.as_str());
-            field_u(&mut s, "peer", u64::from(*peer));
-        }
-        EventKind::Reconnect {
-            attempt,
-            backoff_ms,
-        } => {
-            field_u(&mut s, "attempt", u64::from(*attempt));
-            field_u(&mut s, "backoff_ms", u64::from(*backoff_ms));
-        }
-        EventKind::Resume { offset } => {
-            field_u(&mut s, "offset", *offset);
-        }
-        EventKind::BufLevel { side, used, cap } => {
-            field_str(&mut s, "side", side.as_str());
-            field_u(&mut s, "used", u64::from(*used));
-            field_u(&mut s, "cap", u64::from(*cap));
-        }
-        EventKind::ChaosFault {
-            stage,
-            kind,
-            magnitude,
-        } => {
-            field_str(&mut s, "stage", stage.as_str());
-            field_str(&mut s, "kind", kind.as_str());
-            field_u(&mut s, "magnitude", *magnitude);
-        }
-        EventKind::PerfSample {
-            rtt_us,
-            period_us,
-            cwnd,
-            rate_pps,
-            bw_pps,
-            sent,
-            retx_pkts,
-            bytes,
-            delivered,
-        } => {
-            field_f(&mut s, "rtt_us", *rtt_us);
-            field_f(&mut s, "period_us", *period_us);
-            field_f(&mut s, "cwnd", *cwnd);
-            field_f(&mut s, "rate_pps", *rate_pps);
-            field_f(&mut s, "bw_pps", *bw_pps);
-            field_u(&mut s, "sent", *sent);
-            field_u(&mut s, "retx_pkts", *retx_pkts);
-            field_u(&mut s, "bytes", *bytes);
-            field_u(&mut s, "delivered", *delivered);
-        }
-        EventKind::CpuBreakdown { nanos } => {
-            key(&mut s, "nanos");
-            Value::Arr(nanos.iter().map(|n| Value::UInt(*n)).collect()).render_into(&mut s);
-        }
-        EventKind::PathUp { path } | EventKind::PathDown { path } => {
-            field_u(&mut s, "path", u64::from(*path));
-        }
-        EventKind::PathSend { path, seq, bytes } | EventKind::PathRecv { path, seq, bytes } => {
-            field_u(&mut s, "path", u64::from(*path));
-            field_u(&mut s, "seq", u64::from(*seq));
-            field_u(&mut s, "bytes", u64::from(*bytes));
-        }
-        EventKind::PathLoss { path, lost } => {
-            field_u(&mut s, "path", u64::from(*path));
-            field_u(&mut s, "lost", u64::from(*lost));
-        }
-        EventKind::PathRate {
-            path,
-            bw_pps,
-            rtt_us,
-            loss_pct,
-        } => {
-            field_u(&mut s, "path", u64::from(*path));
-            field_f(&mut s, "bw_pps", *bw_pps);
-            field_f(&mut s, "rtt_us", *rtt_us);
-            field_f(&mut s, "loss_pct", *loss_pct);
-        }
-        EventKind::AuthFail { seq } | EventKind::AuthReplay { seq } => {
-            field_u(&mut s, "seq", u64::from(*seq));
-        }
-        EventKind::AuthReject { peer } => {
-            field_u(&mut s, "peer", u64::from(*peer));
-        }
-        EventKind::BatchRecv { pkts } => {
-            field_u(&mut s, "pkts", u64::from(*pkts));
-        }
-    }
+    ev.kind.write_fields(&mut s, false);
     s.push('}');
     s
 }
@@ -180,38 +34,11 @@ pub fn encode(ev: &TraceEvent) -> String {
 pub const CSV_HEADER: &str = "t_ns,conn,ev,detail";
 
 /// Encode one event as a CSV row: fixed `t_ns,conn,ev` columns plus a
-/// `detail` column of space-separated `key=value` pairs (derived from the
-/// JSON encoding, so the two formats cannot drift apart).
+/// `detail` column of space-separated `key=value` pairs, the JSON fields in
+/// the same order (both are written from the one schema table).
 pub fn to_csv_row(ev: &TraceEvent) -> String {
-    let json = encode(ev);
     let mut detail = String::new();
-    if let Ok(Value::Obj(fields)) = parse(&json) {
-        for (k, v) in fields {
-            if k == "t_ns" || k == "conn" || k == "ev" {
-                continue;
-            }
-            if !detail.is_empty() {
-                detail.push(' ');
-            }
-            detail.push_str(&k);
-            detail.push('=');
-            match v {
-                Value::UInt(u) => detail.push_str(&u.to_string()),
-                Value::Float(f) => detail.push_str(&f.to_string()),
-                Value::Bool(b) => detail.push_str(if b { "true" } else { "false" }),
-                Value::Str(sv) => detail.push_str(&sv),
-                Value::Arr(a) => {
-                    let parts: Vec<String> = a
-                        .iter()
-                        .filter_map(Value::as_u64)
-                        .map(|u| u.to_string())
-                        .collect();
-                    detail.push_str(&parts.join(";"));
-                }
-                Value::Obj(_) | Value::Null => {}
-            }
-        }
-    }
+    ev.kind.write_fields(&mut detail, true);
     format!("{},{},{},{}", ev.t_ns, ev.conn, ev.kind.name(), detail)
 }
 
@@ -243,10 +70,6 @@ impl Value {
             Value::Float(f) if f.fract() == 0.0 && *f >= 0.0 && *f < 1.8e19 => Some(*f as u64),
             _ => None,
         }
-    }
-
-    fn as_u32(&self) -> Option<u32> {
-        self.as_u64().and_then(|u| u32::try_from(u).ok())
     }
 
     /// Numeric view: integers and floats unify to `f64`.
@@ -298,7 +121,7 @@ impl Value {
         s
     }
 
-    fn render_into(&self, s: &mut String) {
+    pub(crate) fn render_into(&self, s: &mut String) {
         let mut sep = "";
         match self {
             Value::UInt(u) => push_u64(s, *u),
@@ -342,185 +165,14 @@ pub fn parse_line(line: &str) -> Result<TraceEvent, String> {
         return Err("not a JSON object".into());
     }
     let get = |name: &str| obj.get(name);
-    let t_ns = get("t_ns")
+    let t_ns = get("t_ns").and_then(Value::as_u64).ok_or("missing t_ns")?;
+    let conn = get("conn")
         .and_then(Value::as_u64)
-        .ok_or("missing t_ns")?;
-    let conn = get("conn").and_then(Value::as_u32).ok_or("missing conn")?;
+        .and_then(|c| u32::try_from(c).ok())
+        .ok_or("missing conn")?;
     let name = get("ev").and_then(Value::as_str).ok_or("missing ev")?;
 
-    let req_u32 = |f: &str| -> Result<u32, String> {
-        get(f)
-            .and_then(Value::as_u32)
-            .ok_or_else(|| format!("{name}: missing {f}"))
-    };
-    let req_u64 = |f: &str| -> Result<u64, String> {
-        get(f)
-            .and_then(Value::as_u64)
-            .ok_or_else(|| format!("{name}: missing {f}"))
-    };
-    let req_f64 = |f: &str| -> Result<f64, String> {
-        get(f)
-            .and_then(Value::as_f64)
-            .ok_or_else(|| format!("{name}: missing {f}"))
-    };
-    let req_str = |f: &str| -> Result<&str, String> {
-        get(f)
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("{name}: missing {f}"))
-    };
-
-    let kind = match name {
-        "data_send" => EventKind::DataSend {
-            seq: req_u32("seq")?,
-            bytes: req_u32("bytes")?,
-            retx: matches!(get("retx"), Some(Value::Bool(true))),
-        },
-        "data_recv" => EventKind::DataRecv {
-            seq: req_u32("seq")?,
-            bytes: req_u32("bytes")?,
-        },
-        "data_drop" => EventKind::DataDrop {
-            seq: req_u32("seq")?,
-            reason: DropReason::from_name(req_str("reason")?)
-                .ok_or_else(|| format!("bad drop reason in {line}"))?,
-        },
-        "ack_send" => EventKind::AckSend {
-            ack_no: req_u32("ack_no")?,
-            ack_seq: req_u32("ack_seq")?,
-        },
-        "ack_recv" => EventKind::AckRecv {
-            ack_no: req_u32("ack_no")?,
-            ack_seq: req_u32("ack_seq")?,
-        },
-        "ack2_send" => EventKind::Ack2Send {
-            ack_no: req_u32("ack_no")?,
-        },
-        "ack2_recv" => EventKind::Ack2Recv {
-            ack_no: req_u32("ack_no")?,
-        },
-        "nak_send" => EventKind::NakSend {
-            first_lo: req_u32("first_lo")?,
-            first_hi: req_u32("first_hi")?,
-            ranges: req_u32("ranges")?,
-        },
-        "nak_recv" => EventKind::NakRecv {
-            first_lo: req_u32("first_lo")?,
-            first_hi: req_u32("first_hi")?,
-            ranges: req_u32("ranges")?,
-        },
-        "loss" => EventKind::LossDetected {
-            first_lo: req_u32("first_lo")?,
-            first_hi: req_u32("first_hi")?,
-        },
-        "rate" => EventKind::RateUpdate {
-            period_us: req_f64("period_us")?,
-            cwnd: req_f64("cwnd")?,
-        },
-        "rtt" => EventKind::RttUpdate {
-            rtt_us: req_u32("rtt_us")?,
-            var_us: req_u32("var_us")?,
-        },
-        "bw" => EventKind::BwEstimate {
-            pps: req_f64("pps")?,
-        },
-        "timer" => EventKind::TimerFire {
-            timer: TimerKind::from_name(req_str("timer")?)
-                .ok_or_else(|| format!("bad timer in {line}"))?,
-            count: req_u32("count")?,
-        },
-        "state" => EventKind::StateChange {
-            from: ConnState::from_name(req_str("from")?)
-                .ok_or_else(|| format!("bad state in {line}"))?,
-            to: ConnState::from_name(req_str("to")?)
-                .ok_or_else(|| format!("bad state in {line}"))?,
-        },
-        "handshake" => EventKind::Handshake {
-            phase: HsPhase::from_name(req_str("phase")?)
-                .ok_or_else(|| format!("bad phase in {line}"))?,
-            peer: req_u32("peer")?,
-        },
-        "reconnect" => EventKind::Reconnect {
-            attempt: req_u32("attempt")?,
-            backoff_ms: req_u32("backoff_ms")?,
-        },
-        "resume" => EventKind::Resume {
-            offset: req_u64("offset")?,
-        },
-        "buf" => EventKind::BufLevel {
-            side: BufSide::from_name(req_str("side")?)
-                .ok_or_else(|| format!("bad side in {line}"))?,
-            used: req_u32("used")?,
-            cap: req_u32("cap")?,
-        },
-        "chaos" => EventKind::ChaosFault {
-            stage: Label::new(req_str("stage")?),
-            kind: Label::new(req_str("kind")?),
-            magnitude: req_u64("magnitude")?,
-        },
-        "perf" => EventKind::PerfSample {
-            rtt_us: req_f64("rtt_us")?,
-            period_us: req_f64("period_us")?,
-            cwnd: req_f64("cwnd")?,
-            rate_pps: req_f64("rate_pps")?,
-            bw_pps: req_f64("bw_pps")?,
-            sent: req_u64("sent")?,
-            retx_pkts: req_u64("retx_pkts")?,
-            bytes: req_u64("bytes")?,
-            delivered: req_u64("delivered")?,
-        },
-        "cpu" => {
-            let arr: Vec<u64> = get("nanos")
-                .and_then(Value::items)
-                .and_then(|a| a.iter().map(Value::as_u64).collect())
-                .ok_or_else(|| format!("cpu: missing nanos in {line}"))?;
-            let nanos = <[u64; CPU_CATEGORY_COUNT]>::try_from(arr).map_err(|a| {
-                format!(
-                    "cpu: expected {CPU_CATEGORY_COUNT} categories, got {}",
-                    a.len()
-                )
-            })?;
-            EventKind::CpuBreakdown { nanos }
-        }
-        "path_up" => EventKind::PathUp {
-            path: req_u32("path")?,
-        },
-        "path_down" => EventKind::PathDown {
-            path: req_u32("path")?,
-        },
-        "path_send" => EventKind::PathSend {
-            path: req_u32("path")?,
-            seq: req_u32("seq")?,
-            bytes: req_u32("bytes")?,
-        },
-        "path_recv" => EventKind::PathRecv {
-            path: req_u32("path")?,
-            seq: req_u32("seq")?,
-            bytes: req_u32("bytes")?,
-        },
-        "path_loss" => EventKind::PathLoss {
-            path: req_u32("path")?,
-            lost: req_u32("lost")?,
-        },
-        "path_rate" => EventKind::PathRate {
-            path: req_u32("path")?,
-            bw_pps: req_f64("bw_pps")?,
-            rtt_us: req_f64("rtt_us")?,
-            loss_pct: req_f64("loss_pct")?,
-        },
-        "auth_fail" => EventKind::AuthFail {
-            seq: req_u32("seq")?,
-        },
-        "auth_replay" => EventKind::AuthReplay {
-            seq: req_u32("seq")?,
-        },
-        "auth_reject" => EventKind::AuthReject {
-            peer: req_u32("peer")?,
-        },
-        "batch" => EventKind::BatchRecv {
-            pkts: req_u32("pkts")?,
-        },
-        other => return Err(format!("unknown event kind {other:?}")),
-    };
+    let kind = EventKind::read(name, &obj)?;
     Ok(TraceEvent { t_ns, conn, kind })
 }
 
@@ -701,36 +353,8 @@ fn push_u64(s: &mut String, v: u64) {
     s.push_str(&v.to_string());
 }
 
-fn key(s: &mut String, name: &str) {
-    s.push_str(",\"");
-    s.push_str(name);
-    s.push_str("\":");
-}
-
-fn field_u(s: &mut String, name: &str, v: u64) {
-    key(s, name);
-    push_u64(s, v);
-}
-
-fn field_bool(s: &mut String, name: &str, v: bool) {
-    key(s, name);
-    Value::Bool(v).render_into(s);
-}
-
-fn field_f(s: &mut String, name: &str, v: f64) {
-    key(s, name);
-    // Rust's float Display is the shortest round-trippable form; NaN/inf
-    // render as 0.
-    Value::Float(v).render_into(s);
-}
-
-fn field_str(s: &mut String, name: &str, v: &str) {
-    key(s, name);
-    push_str_escaped(s, v);
-}
-
 /// Append `v` as a quoted JSON string.
-fn push_str_escaped(s: &mut String, v: &str) {
+pub(crate) fn push_str_escaped(s: &mut String, v: &str) {
     s.push('"');
     for c in v.chars() {
         match c {
@@ -752,117 +376,10 @@ fn push_str_escaped(s: &mut String, v: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::Label;
 
     fn all_kinds() -> Vec<EventKind> {
-        vec![
-            EventKind::DataSend {
-                seq: 7,
-                bytes: 1472,
-                retx: true,
-            },
-            EventKind::DataRecv { seq: 8, bytes: 100 },
-            EventKind::DataDrop {
-                seq: 9,
-                reason: DropReason::Queue,
-            },
-            EventKind::AckSend {
-                ack_no: 3,
-                ack_seq: 100,
-            },
-            EventKind::AckRecv {
-                ack_no: 3,
-                ack_seq: 100,
-            },
-            EventKind::Ack2Send { ack_no: 3 },
-            EventKind::Ack2Recv { ack_no: 3 },
-            EventKind::NakSend {
-                first_lo: 10,
-                first_hi: 12,
-                ranges: 2,
-            },
-            EventKind::NakRecv {
-                first_lo: 10,
-                first_hi: 12,
-                ranges: 2,
-            },
-            EventKind::LossDetected {
-                first_lo: 10,
-                first_hi: 12,
-            },
-            EventKind::RateUpdate {
-                period_us: 11.25,
-                cwnd: 4096.0,
-            },
-            EventKind::RttUpdate {
-                rtt_us: 100_000,
-                var_us: 25_000,
-            },
-            EventKind::BwEstimate { pps: 83333.33 },
-            EventKind::TimerFire {
-                timer: TimerKind::Exp,
-                count: 5,
-            },
-            EventKind::StateChange {
-                from: ConnState::Connected,
-                to: ConnState::Broken,
-            },
-            EventKind::Handshake {
-                phase: HsPhase::Accepted,
-                peer: 0xDEAD,
-            },
-            EventKind::Reconnect {
-                attempt: 2,
-                backoff_ms: 250,
-            },
-            EventKind::Resume { offset: 1 << 40 },
-            EventKind::BufLevel {
-                side: BufSide::Rcv,
-                used: 100,
-                cap: 8192,
-            },
-            EventKind::ChaosFault {
-                stage: Label::new("loss"),
-                kind: Label::new("drop"),
-                magnitude: 1,
-            },
-            EventKind::PerfSample {
-                rtt_us: 199.5,
-                period_us: 12.0,
-                cwnd: 16.0,
-                rate_pps: 80000.0,
-                bw_pps: 83000.0,
-                sent: 123456,
-                retx_pkts: 12,
-                bytes: 1_000_000,
-                delivered: 990_000,
-            },
-            EventKind::CpuBreakdown {
-                nanos: [1, 2, 3, 4, 5, 6, 7, 8, 9],
-            },
-            EventKind::PathUp { path: 2 },
-            EventKind::PathDown { path: 2 },
-            EventKind::PathSend {
-                path: 1,
-                seq: 0x7FFF_FFFF,
-                bytes: 1452,
-            },
-            EventKind::PathRecv {
-                path: 1,
-                seq: 0,
-                bytes: 1452,
-            },
-            EventKind::PathLoss { path: 0, lost: 17 },
-            EventKind::PathRate {
-                path: 3,
-                bw_pps: 8333.5,
-                rtt_us: 20125.0,
-                loss_pct: 0.75,
-            },
-            EventKind::AuthFail { seq: 101 },
-            EventKind::AuthReplay { seq: 102 },
-            EventKind::AuthReject { peer: 0xBEEF },
-            EventKind::BatchRecv { pkts: 27 },
-        ]
+        EventKind::all_kinds()
     }
 
     #[test]
@@ -877,6 +394,25 @@ mod tests {
             let back = parse_line(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
             assert_eq!(back, ev, "line={line}");
         }
+    }
+
+    /// A flight dump (the lead-up to a `Broken`, then one line of every
+    /// kind and the codec's edge cases) and its CSV twin, both written by
+    /// the last commit whose encoder and parser were written out by hand:
+    /// the schema table reads and writes them byte for byte.
+    #[test]
+    fn a_dump_written_before_the_schema_table_survives_byte_for_byte() {
+        let dump = include_str!("../fixtures/flight-pr18.jsonl");
+        let (mut csv, mut names) = (String::new(), std::collections::BTreeSet::new());
+        for line in dump.lines() {
+            let ev = parse_line(line).unwrap_or_else(|e| panic!("{line}: {e}"));
+            assert_eq!(encode(&ev), line);
+            csv.push_str(&to_csv_row(&ev));
+            csv.push('\n');
+            names.insert(ev.kind.name());
+        }
+        assert_eq!(csv, include_str!("../fixtures/flight-pr18.csv"));
+        assert!(all_kinds().iter().all(|k| names.contains(k.name())));
     }
 
     #[test]

@@ -13,6 +13,10 @@
 //!   never block or allocate (seqlock slots).
 //! - [`Tracer`] — a cheap cloneable handle. [`Tracer::disabled`] is a
 //!   single-branch no-op, so library code can emit unconditionally.
+//! - [`Emitter`] — the event spine: a tracer plus a counter family that is
+//!   a [`Fold`] over events. One `emit` both counts and records, so a
+//!   counter and a trace line cannot disagree, and replaying an export
+//!   through the same fold reproduces the live counters.
 //! - [`TraceClock`] — the timestamp source. [`MonotonicClock`] wraps
 //!   `Instant` for real sockets; [`VirtualClock`] is driven by the
 //!   simulator's event loop so sim traces carry virtual time.
@@ -191,6 +195,90 @@ impl Tracer {
     /// Total events pushed since creation (0 when disabled).
     pub fn pushed(&self) -> u64 {
         self.inner.as_ref().map_or(0, |i| i.buf.pushed())
+    }
+}
+
+/// A counter family that is a pure function of the events it is shown:
+/// `apply` adds to whichever counters `kind` moves and ignores the rest.
+/// Always on: an [`Emitter`] applies it whether or not the tracer records.
+pub trait Fold {
+    /// Count `kind`.
+    fn apply(&self, kind: &EventKind);
+}
+
+/// Where a component's events go: folded into its counters `F`, then into
+/// `tracer` tagged with a connection id. The counters live behind an `Arc`
+/// so accessors, the metrics registry and every clone of the handle read
+/// the same numbers.
+#[derive(Debug, Default)]
+pub struct Emitter<F> {
+    tracer: Tracer,
+    conn: u32,
+    offset_ns: u64,
+    counters: Arc<F>,
+}
+
+impl<F> Clone for Emitter<F> {
+    fn clone(&self) -> Emitter<F> {
+        Emitter {
+            tracer: self.tracer.clone(),
+            conn: self.conn,
+            offset_ns: self.offset_ns,
+            counters: Arc::clone(&self.counters),
+        }
+    }
+}
+
+impl<F> Emitter<F> {
+    /// Events for connection `conn` over fresh counters. `offset_ns` is what
+    /// the tracer's clock read when the timeline [`Emitter::emit_at`] is
+    /// given read zero (0 where the two are one timeline, as in a
+    /// simulator, or where `emit_at` is not used).
+    pub fn new(tracer: Tracer, conn: u32, offset_ns: u64) -> Emitter<F>
+    where
+        F: Default,
+    {
+        Emitter {
+            tracer,
+            conn,
+            offset_ns,
+            counters: Arc::default(),
+        }
+    }
+
+    /// The counters every event is folded into.
+    pub fn counters(&self) -> &Arc<F> {
+        &self.counters
+    }
+
+    /// The tracer events are recorded in.
+    pub fn tracer(&self) -> &Tracer {
+        &self.tracer
+    }
+}
+
+impl<F: Fold> Emitter<F> {
+    /// Count and record `kind`, stamped with the tracer clock's time.
+    #[inline]
+    pub fn emit(&self, kind: EventKind) {
+        self.emit_as(self.conn, kind);
+    }
+
+    /// As [`Emitter::emit`], tagged `conn` (a listener speaks for many
+    /// peers).
+    #[inline]
+    pub fn emit_as(&self, conn: u32, kind: EventKind) {
+        self.counters.apply(&kind);
+        self.tracer.emit(conn, kind);
+    }
+
+    /// Count and record `kind` as having happened at `now_ns` on the
+    /// caller's own timeline.
+    #[inline]
+    pub fn emit_at(&self, now_ns: u64, kind: EventKind) {
+        self.counters.apply(&kind);
+        self.tracer
+            .emit_at(now_ns.saturating_add(self.offset_ns), self.conn, kind);
     }
 }
 

@@ -16,9 +16,11 @@
 //!   dropped final ACK, a dropped ACK2, a dropped tail packet.
 //!
 //! Usage:
-//!   udt-verify              # full sweep (~6 min)
-//!   udt-verify --quick      # CI sweep (~5 s)
-//!   udt-verify --replay <seed>   # re-run a violation trace verbosely
+//! ```text
+//! udt-verify              # full sweep (~6 min)
+//! udt-verify --quick      # CI sweep (~5 s)
+//! udt-verify --replay <seed>   # re-run a violation trace verbosely
+//! ```
 
 mod model;
 mod search;

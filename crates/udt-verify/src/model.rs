@@ -420,7 +420,7 @@ impl Model {
             Action::SndTimer => {
                 for _ in 0..MAX_TICKS {
                     self.now = self.now.max(self.snd.next_deadline());
-                    match self.snd.on_timer(self.now, 0.0).action {
+                    match self.snd.on_timer(self.now, 0.0) {
                         TimerAction::None => {}
                         TimerAction::Requeued => {
                             let r = self.snd.loss_ranges();

@@ -14,7 +14,7 @@ use parking_lot::Mutex;
 use udt_metrics::counters::AuthCounters;
 use udt_proto::auth::{MacKey, ReplayCheck, ReplayWindow, TAG_LEN};
 use udt_proto::SeqNo;
-use udt_trace::{EventKind, Tracer};
+use udt_trace::{Emitter, EventKind, Tracer};
 
 /// Whether (and how hard) a connection insists on packet authentication.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -47,14 +47,13 @@ pub(crate) struct AuthCtx {
     pub tx_key: MacKey,
     /// Key for packets the peer sends (their direction).
     pub rx_key: MacKey,
-    /// `tags_ok` / `tags_bad` / `replays` for this connection.
-    pub counters: Arc<AuthCounters>,
     /// Anti-replay window over delivered data sequence numbers.
     pub replay: Mutex<ReplayWindow>,
-    /// Trace sink for `auth_fail` / `auth_replay` events.
-    pub tracer: Tracer,
-    /// Local connection id (trace + flight-dump labeling).
-    pub local_id: u32,
+    /// Where `auth_fail` / `auth_replay` events go; `tags_bad` and
+    /// `replays` are their fold, `tags_ok` is bumped beside them.
+    events: Emitter<AuthCounters>,
+    /// Local connection id (flight-dump labeling).
+    local_id: u32,
     /// Where to dump a flight recording when a forged-packet storm is
     /// detected (`None`: no dumps).
     pub flight_dir: Option<PathBuf>,
@@ -76,18 +75,22 @@ impl AuthCtx {
         AuthCtx {
             tx_key,
             rx_key,
-            counters: Arc::new(AuthCounters::new()),
             replay: Mutex::new(ReplayWindow::new()),
-            tracer,
+            events: Emitter::new(tracer, local_id, 0),
             local_id,
             flight_dir,
             storm_fired: AtomicBool::new(false),
         }
     }
 
+    /// This connection's `tags_ok` / `tags_bad` / `replays`.
+    pub fn counters(&self) -> &Arc<AuthCounters> {
+        self.events.counters()
+    }
+
     /// Verify the trailer tag of a raw inbound datagram. On success
-    /// returns the datagram length *without* the tag; on failure counts,
-    /// traces, fires the storm dump when warranted, and returns `None`.
+    /// returns the datagram length *without* the tag; on failure emits
+    /// `auth_fail`, fires the storm dump when warranted, and returns `None`.
     pub fn verify_trailer(&self, buf: &[u8], seq_hint: u32) -> Option<usize> {
         if buf.len() < TAG_LEN {
             self.record_bad(seq_hint);
@@ -97,7 +100,7 @@ impl AuthCtx {
         // udt-lint: allow(unwrap) — the slice is exactly TAG_LEN bytes
         let claimed = u64::from_be_bytes(buf[body..].try_into().expect("tag slice"));
         if self.rx_key.verify(&buf[..body], claimed) {
-            self.counters.tags_ok(1);
+            self.counters().tags_ok(1);
             Some(body)
         } else {
             self.record_bad(seq_hint);
@@ -109,9 +112,7 @@ impl AuthCtx {
     /// already-delivered packet?
     pub fn is_replay(&self, seq: SeqNo) -> bool {
         if self.replay.lock().check(seq) == ReplayCheck::Replay {
-            self.counters.replays(1);
-            self.tracer
-                .emit(self.local_id, EventKind::AuthReplay { seq: seq.raw() });
+            self.events.emit(EventKind::AuthReplay { seq: seq.raw() });
             true
         } else {
             false
@@ -125,15 +126,14 @@ impl AuthCtx {
     }
 
     fn record_bad(&self, seq_hint: u32) {
-        self.counters.tags_bad(1);
-        self.tracer
-            .emit(self.local_id, EventKind::AuthFail { seq: seq_hint });
-        let bad = self.counters.snapshot().tags_bad;
+        self.events.emit(EventKind::AuthFail { seq: seq_hint });
+        let bad = self.counters().snapshot().tags_bad;
         if bad >= STORM_THRESHOLD
             && !self.storm_fired.swap(true, Ordering::Relaxed)
         {
             if let Some(dir) = &self.flight_dir {
-                let _ = udt_trace::flight::dump(dir, self.local_id, "auth-storm", &self.tracer);
+                let _ =
+                    udt_trace::flight::dump(dir, self.local_id, "auth-storm", self.events.tracer());
             }
         }
     }
@@ -173,7 +173,7 @@ mod tests {
         assert_eq!(c.verify_trailer(&bad, 0), None);
         // Too short to even hold a tag.
         assert_eq!(c.verify_trailer(b"tiny", 0), None);
-        let s = c.counters.snapshot();
+        let s = c.counters().snapshot();
         assert_eq!(s.tags_ok, 1);
         assert_eq!(s.tags_bad, 3);
     }
@@ -185,7 +185,7 @@ mod tests {
         assert!(!c.is_replay(s));
         c.mark_delivered(s);
         assert!(c.is_replay(s));
-        assert_eq!(c.counters.snapshot().replays, 1);
+        assert_eq!(c.counters().snapshot().replays, 1);
     }
 
     #[test]

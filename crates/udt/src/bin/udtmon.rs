@@ -29,9 +29,10 @@ use std::io::{BufRead, BufReader, Seek, SeekFrom};
 use std::path::PathBuf;
 use std::time::Duration;
 
+use udt::ConnStats;
+use udt_metrics::counters::{AuthCounters, PathCounters};
 use udt_metrics::registry::SampleValue;
-use udt_trace::event::{EventKind, TraceEvent};
-use udt_trace::json;
+use udt_trace::{json, DropReason, EventKind, Fold, TraceEvent};
 
 /// Per-connection percentile row scraped from the udt-obs endpoint.
 #[derive(Default, Clone)]
@@ -78,38 +79,30 @@ fn scrape_percentiles(addr: std::net::SocketAddr) -> BTreeMap<u32, PctRow> {
 /// One bonded path's slice of a connection timeline.
 #[derive(Default)]
 struct PathAgg {
-    chunks_sent: u64,
-    bytes_sent: u64,
-    chunks_recvd: u64,
-    bytes_recvd: u64,
-    lost: u64,
-    ups: u64,
-    downs: u64,
+    counters: PathCounters,
     bw_pps: Option<f64>,
     rtt_us: Option<f64>,
     loss_pct: Option<f64>,
     last_t_ns: u64,
 }
 
+/// One connection's slice of the timeline. Counts come from replaying the
+/// events through the library's own folds, so a row reads what the
+/// endpoint's live counters read; what is kept beside them has no fold:
+/// other parties' drops, injected faults, batches, and latest-value gauges.
 #[derive(Default)]
 struct ConnAgg {
     events: u64,
-    data_sent: u64,
-    retx: u64,
-    data_recvd: u64,
-    acks: u64,
-    naks: u64,
-    drops: u64,
+    stats: ConnStats,
+    auth: AuthCounters,
+    /// Drops by a link, the demultiplexer or a full buffer.
+    other_drops: u64,
     chaos: u64,
-    exp_fires: u64,
     rtt_us: Option<u32>,
     period_us: Option<f64>,
     cwnd: Option<f64>,
     bw_pps: Option<f64>,
     state: Option<&'static str>,
-    auth_fail: u64,
-    auth_replay: u64,
-    auth_reject: u64,
     /// Batched-datapath deliveries (receiver wakeups) and the packets
     /// they carried; ratio = demux batching efficiency.
     batches: u64,
@@ -123,23 +116,15 @@ impl ConnAgg {
     fn feed(&mut self, ev: &TraceEvent) {
         self.events += 1;
         self.last_t_ns = self.last_t_ns.max(ev.t_ns);
+        self.stats.apply(&ev.kind);
+        self.auth.apply(&ev.kind);
         match ev.kind {
-            EventKind::DataSend { retx, .. } => {
-                self.data_sent += 1;
-                if retx {
-                    self.retx += 1;
-                }
+            EventKind::DataDrop { reason, .. }
+                if !matches!(reason, DropReason::Duplicate | DropReason::Implausible) =>
+            {
+                self.other_drops += 1;
             }
-            EventKind::DataRecv { .. } => self.data_recvd += 1,
-            EventKind::DataDrop { .. } => self.drops += 1,
-            EventKind::AckSend { .. } | EventKind::AckRecv { .. } => self.acks += 1,
-            EventKind::NakSend { .. } | EventKind::NakRecv { .. } => self.naks += 1,
             EventKind::ChaosFault { .. } => self.chaos += 1,
-            EventKind::TimerFire { timer, .. } => {
-                if matches!(timer, udt_trace::TimerKind::Exp) {
-                    self.exp_fires += 1;
-                }
-            }
             EventKind::RttUpdate { rtt_us, .. } => self.rtt_us = Some(rtt_us),
             EventKind::RateUpdate { period_us, cwnd } => {
                 self.period_us = Some(period_us);
@@ -147,27 +132,16 @@ impl ConnAgg {
             }
             EventKind::BwEstimate { pps } => self.bw_pps = Some(pps),
             EventKind::StateChange { to, .. } => self.state = Some(to.as_str()),
-            EventKind::AuthFail { .. } => self.auth_fail += 1,
-            EventKind::AuthReplay { .. } => self.auth_replay += 1,
-            EventKind::AuthReject { .. } => self.auth_reject += 1,
             EventKind::BatchRecv { pkts } => {
                 self.batches += 1;
                 self.batch_pkts += u64::from(pkts);
             }
-            EventKind::PathUp { path } => self.path(path, ev.t_ns).ups += 1,
-            EventKind::PathDown { path } => self.path(path, ev.t_ns).downs += 1,
-            EventKind::PathSend { path, bytes, .. } => {
-                let p = self.path(path, ev.t_ns);
-                p.chunks_sent += 1;
-                p.bytes_sent += u64::from(bytes);
-            }
-            EventKind::PathRecv { path, bytes, .. } => {
-                let p = self.path(path, ev.t_ns);
-                p.chunks_recvd += 1;
-                p.bytes_recvd += u64::from(bytes);
-            }
-            EventKind::PathLoss { path, lost } => {
-                self.path(path, ev.t_ns).lost += u64::from(lost);
+            EventKind::PathUp { path }
+            | EventKind::PathDown { path }
+            | EventKind::PathSend { path, .. }
+            | EventKind::PathRecv { path, .. }
+            | EventKind::PathLoss { path, .. } => {
+                self.path(path, ev.t_ns).counters.apply(&ev.kind);
             }
             EventKind::PathRate {
                 path,
@@ -228,6 +202,8 @@ impl Monitor {
              rtt(ms)  rate(pkt/s)   cwnd  bw(pkt/s)  state      last(s)\n",
         );
         for (conn, a) in &self.conns {
+            let (st, get) = (&a.stats, ConnStats::get);
+            let retx = get(&st.pkts_retransmitted);
             let rate_pps = a
                 .period_us
                 .map(|p| if p > 0.0 { 1e6 / p } else { 0.0 });
@@ -235,14 +211,14 @@ impl Monitor {
                 "{:<8x} {:>8} {:>9}({:>4}) {:>9} {:>6} {:>6} {:>6} {:>6} {:>4}  {:>7} {:>12} {:>6} {:>10}  {:<9} {:>8.2}\n",
                 conn,
                 a.events,
-                a.data_sent,
-                a.retx,
-                a.data_recvd,
-                a.acks,
-                a.naks,
-                a.drops,
+                get(&st.pkts_sent) + retx,
+                retx,
+                get(&st.pkts_received),
+                get(&st.acks_sent) + get(&st.acks_received),
+                get(&st.naks_sent) + get(&st.naks_received),
+                get(&st.pkts_duplicate) + get(&st.pkts_rejected) + a.other_drops,
                 a.chaos,
-                a.exp_fires,
+                get(&st.exp_timeouts),
                 a.rtt_us
                     .map_or_else(|| "-".into(), |r| format!("{:.2}", f64::from(r) / 1e3)),
                 rate_pps.map_or_else(|| "-".into(), |r| format!("{r:.0}")),
@@ -251,10 +227,11 @@ impl Monitor {
                 a.state.unwrap_or("-"),
                 a.last_t_ns as f64 / 1e9,
             ));
-            if a.auth_fail + a.auth_replay + a.auth_reject > 0 {
+            let auth = a.auth.snapshot();
+            if auth.tags_bad + auth.replays + auth.unauth_rejected > 0 {
                 s.push_str(&format!(
                     "  └ auth: {} bad tags rejected, {} replays dropped, {} peers refused\n",
-                    a.auth_fail, a.auth_replay, a.auth_reject,
+                    auth.tags_bad, auth.replays, auth.unauth_rejected,
                 ));
             }
             if a.batches > 0 {
@@ -269,16 +246,17 @@ impl Monitor {
                 s.push_str(&render_pct_row(row));
             }
             for (pid, p) in &a.paths {
+                let c = p.counters.snapshot();
                 s.push_str(&format!(
                     "  └ path {pid:<3} sent {:>7} ({:>8.2} MB)  recvd {:>7} ({:>8.2} MB)  \
                      requeued {:>5}  up/down {}/{}  bw {:>8}  rtt {:>7}  loss {:>6}  last {:>7.2}\n",
-                    p.chunks_sent,
-                    p.bytes_sent as f64 / 1e6,
-                    p.chunks_recvd,
-                    p.bytes_recvd as f64 / 1e6,
-                    p.lost,
-                    p.ups,
-                    p.downs,
+                    c.chunks_sent,
+                    c.bytes_sent as f64 / 1e6,
+                    c.chunks_recv,
+                    c.bytes_recv as f64 / 1e6,
+                    c.chunks_requeued,
+                    c.path_ups,
+                    c.path_downs,
                     p.bw_pps
                         .map_or_else(|| "-".into(), |b| format!("{b:.0}p/s")),
                     p.rtt_us

@@ -7,9 +7,11 @@
 //! condensed to count/mean/min/p50/p90/p99/p999/max.
 //!
 //! Usage:
-//!   udtstat <host:port>            scrape and print everything
-//!   udtstat --raw <host:port>      dump the raw OpenMetrics text
-//!   udtstat --family <prefix> <host:port>   only families matching prefix
+//! ```text
+//! udtstat <host:port>            scrape and print everything
+//! udtstat --raw <host:port>      dump the raw OpenMetrics text
+//! udtstat --family <prefix> <host:port>   only families matching prefix
+//! ```
 
 use udt_metrics::registry::{RegistrySnapshot, SampleValue};
 

@@ -136,8 +136,8 @@ pub struct UdtConfig {
     /// Plaintext HTTP scrape endpoint serving `GET /metrics` in
     /// OpenMetrics text. Off by default. The endpoint is unauthenticated
     /// cleartext — bind it to localhost (`127.0.0.1:9151`) unless the
-    /// network is trusted; see the "Metrics & export" section of
-    /// DESIGN.md.
+    /// network is trusted; see "Distributions, registry and
+    /// export" in DESIGN.md.
     pub metrics_listen: Option<std::net::SocketAddr>,
     /// Continuous-profiler sampling interval: how often the observability
     /// thread snapshots per-thread CPU and per-connection Table-3 category
@@ -155,9 +155,6 @@ pub struct RetryPolicy {
     pub base_backoff: Duration,
     /// Ceiling on the exponential backoff.
     pub max_backoff: Duration,
-    /// Jitter fraction in `[0, 1]`: each backoff is scaled by a
-    /// deterministic factor drawn from `[1 - jitter, 1 + jitter]`.
-    pub jitter: f64,
     /// Overall wall-clock budget across all attempts of one outage;
     /// `None` = bounded by `max_attempts` only.
     pub deadline: Option<Duration>,
@@ -169,11 +166,14 @@ impl Default for RetryPolicy {
             max_attempts: 8,
             base_backoff: Duration::from_millis(200),
             max_backoff: Duration::from_secs(5),
-            jitter: 0.25,
             deadline: None,
         }
     }
 }
+
+/// Each backoff is scaled by a deterministic factor drawn from
+/// `[1 - BACKOFF_JITTER, 1 + BACKOFF_JITTER]`.
+const BACKOFF_JITTER: f64 = 0.25;
 
 impl RetryPolicy {
     /// Backoff before reconnect attempt `attempt` (1-based), with
@@ -191,8 +191,8 @@ impl RetryPolicy {
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^= z >> 31;
         let unit = (z >> 11) as f64 / (1u64 << 53) as f64;
-        let factor = 1.0 + self.jitter.clamp(0.0, 1.0) * (2.0 * unit - 1.0);
-        raw.mul_f64(factor.max(0.0))
+        let factor = 1.0 + BACKOFF_JITTER * (2.0 * unit - 1.0);
+        raw.mul_f64(factor)
     }
 }
 
@@ -272,7 +272,7 @@ mod tests {
             let a = p.backoff(attempt, 42);
             let b = p.backoff(attempt, 42);
             assert_eq!(a, b, "same seed must give the same schedule");
-            assert!(a <= p.max_backoff.mul_f64(1.0 + p.jitter));
+            assert!(a <= p.max_backoff.mul_f64(1.0 + BACKOFF_JITTER));
         }
         // Jitter actually varies with the seed.
         assert_ne!(p.backoff(3, 1), p.backoff(3, 2));

@@ -6,8 +6,11 @@
 //! [`udt_algo::conn`]'s ([`SndCore`] under the `snd` lock, [`RcvCore`] under
 //! `rcv`), shared with the simulator and the model checker. This module is
 //! what only a socket has: threads, locks and wake-ups, pacing and burst
-//! sizing, the §4.4 send-cost floor, payload buffers, statistics and
-//! Table 3 booking, and the lifecycle (`State`, close, `Shutdown`).
+//! sizing, the §4.4 send-cost floor, payload buffers, Table 3 booking, and
+//! the lifecycle (`State`, close, `Shutdown`). Statistics are not booked
+//! here: [`ConnStats`] is a fold over the events the cores and this module
+//! emit through one [`CoreTrace`] (only the byte counts at `send`/`recv`,
+//! which no event carries, are bumped in place).
 //!
 //! §4.8 of the paper gives every UDT entity a sender thread ("only
 //! responsible for sending data packets according to the limit of flow
@@ -16,12 +19,12 @@
 //! packets" and checks the ACK, NAK, SYN and EXP timers "after each
 //! time-bounded UDP receiving call". Here:
 //!
-//! * **`udt-snd-<id>`** is the paper's sender ([`sender_loop`]); idle or
+//! * **`udt-snd-<id>`** is the paper's sender (`sender_loop`); idle or
 //!   window-blocked it parks on `snd_cv` instead of pacing.
-//! * **`udt-mux`** (one per UDP socket, [`crate::mux`]) does the receiver's
+//! * **`udt-mux`** (one per UDP socket, `crate::mux`) does the receiver's
 //!   *processing*: it runs the connection's share of every `recvmmsg` batch
-//!   to completion ([`PacketSink::deliver`]) under the `snd`/`rcv` locks.
-//! * **`udt-rcv-<id>`** keeps the receiver's *timers* only ([`timer_loop`]).
+//!   to completion (`PacketSink::deliver`) under the `snd`/`rcv` locks.
+//! * **`udt-rcv-<id>`** keeps the receiver's *timers* only (`timer_loop`).
 //!
 //! The deviation from the paper's receiver thread is measured (DESIGN.md,
 //! "Threads: what runs where"): behind a channel it cost 11.01 of the
@@ -40,8 +43,8 @@
 //! lint follows.
 //!
 //! 1. `conn_table` — listener/rendezvous connection registry (`socket.rs`).
-//! 2. `snd` — the sending half ([`SndCtl`]: send buffer and [`SndCore`]).
-//! 3. `rcv` — the receiving half ([`RcvCtl`]: receive buffer and [`RcvCore`]).
+//! 2. `snd` — the sending half (`SndCtl`: send buffer and [`SndCore`]).
+//! 3. `rcv` — the receiving half (`RcvCtl`: receive buffer and [`RcvCore`]).
 //! 4. `timer` — the timer thread's wake-up lock (guards nothing else).
 //! 5. `threads` — join-handle registry.
 //! 6. `conns` — the mux registry (`mux.rs`). Last, so that none of the above
@@ -80,8 +83,8 @@ use crate::config::{CcChoice, UdtConfig};
 use crate::error::{Result, UdtError};
 use crate::instrument::{Category, Instrument};
 use crate::mux::{Mux, MuxBatch, PacketSink};
-use crate::stats::ConnStats;
 use crate::timing::EpochClock;
+use crate::ConnStats;
 
 /// Connection lifecycle states.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -225,7 +228,9 @@ pub(crate) struct Shared {
     timer: Mutex<()>,
     timer_cv: Condvar,
     state: AtomicU8,
-    pub stats: Arc<ConnStats>,
+    /// Where this connection's events go: its [`ConnStats`], then the
+    /// configured tracer. The cores hold clones.
+    events: CoreTrace,
     pub meta: SessionMeta,
     pub instr: Arc<Instrument>,
     /// Per-connection histograms, present only when the config carries a
@@ -273,10 +278,15 @@ impl Shared {
         self.timer_cv.notify_all();
     }
 
-    /// Emit a trace event for this connection (one branch when disabled).
+    /// Count and trace an event of this connection.
     #[inline]
     pub(crate) fn trace(&self, kind: EventKind) {
-        self.cfg.tracer.emit(self.local_id, kind);
+        self.events.emit(kind);
+    }
+
+    /// The counters the events fold into.
+    pub(crate) fn stats(&self) -> &Arc<ConnStats> {
+        self.events.counters()
     }
 
     /// Dump the tracer ring as a flight recording into `cfg.flight_dir`
@@ -386,7 +396,7 @@ impl UdtConnection {
             loss_cap,
             SYN,
             Nanos::ZERO,
-            trace,
+            trace.clone(),
         );
         let sh = Arc::new(Shared {
             snd: Mutex::new(SndCtl {
@@ -405,7 +415,7 @@ impl UdtConnection {
             timer: Mutex::new(()),
             timer_cv: Condvar::new(),
             state: AtomicU8::new(State::Connected as u8),
-            stats: Arc::new(ConnStats::default()),
+            events: trace,
             meta,
             instr: Instrument::new(),
             obs,
@@ -424,10 +434,10 @@ impl UdtConnection {
         if let Some(hub) = sh.cfg.metrics.as_ref() {
             hub.register_conn(
                 sh.local_id,
-                &sh.stats,
+                sh.stats(),
                 &sh.instr,
                 &sh.cfg.tracer,
-                sh.auth.as_ref().map(|a| Arc::clone(&a.counters)),
+                sh.auth.as_ref().map(|a| Arc::clone(a.counters())),
             );
         }
         // udt-lint: allow(hot-alloc) — one-time connection setup
@@ -468,7 +478,7 @@ impl UdtConnection {
 
     /// Connection statistics.
     pub fn stats(&self) -> &ConnStats {
-        &self.sh.stats
+        self.sh.stats()
     }
 
     /// CPU-time instrumentation (Table 3 categories).
@@ -494,7 +504,7 @@ impl UdtConnection {
     /// Authenticated-profile counters for this connection; `None` on a
     /// plaintext connection.
     pub fn auth_counters(&self) -> Option<udt_metrics::counters::AuthSnapshot> {
-        self.sh.auth.as_ref().map(|a| a.counters.snapshot())
+        self.sh.auth.as_ref().map(|a| a.counters().snapshot())
     }
 
     /// Resume offset the peer communicated in its handshake (see
@@ -541,7 +551,7 @@ impl UdtConnection {
                 continue;
             }
             written += n;
-            ConnStats::inc(&sh.stats.bytes_sent, n as u64);
+            ConnStats::inc(&sh.stats().bytes_sent, n as u64);
             let wake = std::mem::take(&mut s.parked);
             drop(s);
             if wake {
@@ -566,7 +576,7 @@ impl UdtConnection {
                 r.buffer.read(buf, frontier)
             };
             if n > 0 {
-                ConnStats::inc(&sh.stats.bytes_delivered, n as u64);
+                ConnStats::inc(&sh.stats().bytes_delivered, n as u64);
                 if let Some(o) = &sh.obs {
                     // ACK-to-delivery latency: the periodic ACK stamped
                     // `last_ack_time` when it advanced the frontier the
@@ -725,12 +735,6 @@ fn transmit_burst(sh: &Shared, picked: &mut Vec<(SeqNo, Bytes, bool)>, pkts: &mu
     let now = sh.clock.now();
     let timestamp_us = now.wire_micros();
     for (seq, payload, retx) in picked.drain(..) {
-        let sent = if retx {
-            &sh.stats.pkts_retransmitted
-        } else {
-            &sh.stats.pkts_sent
-        };
-        ConnStats::inc(sent, 1);
         sh.trace(EventKind::DataSend {
             seq: seq.raw(),
             bytes: payload.len() as u32,
@@ -987,40 +991,32 @@ fn handle_data(sh: &Shared, d: DataPacket, now: Nanos, rx: &mut RxScratch) {
         r.core.on_data(now, d.seq, bytes, base, sh.cfg.rcv_buf_pkts)
     };
     match verdict {
-        DataVerdict::Implausible => {
-            drop(r);
-            ConnStats::inc(&sh.stats.pkts_rejected, 1);
-            return;
-        }
+        DataVerdict::Implausible => return,
         DataVerdict::New { nak: Some(gap) } => {
-            ConnStats::inc(&sh.stats.loss_events, 1);
-            ConnStats::inc(&sh.stats.pkts_lost, u64::from(gap.len()));
-            ConnStats::inc(&sh.stats.naks_sent, 1);
             // udt-lint: allow(hot-alloc) — single-range NAK, loss path only
             rx.ctrl.push(ControlBody::Nak(vec![gap]));
         }
         _ => {}
     }
-    // The buffer has the last word on what is stored: a copy the core calls
-    // a duplicate is one the buffer refuses, too.
+    // The buffer agrees with the core on what is a first copy: one the core
+    // calls a duplicate the buffer refuses, too.
     let stored = {
         let _u = sh.instr.scope(Category::Unpacking);
         r.buffer.insert(d.seq, d.payload)
     };
-    let counter = match stored {
-        InsertOutcome::Stored => &sh.stats.pkts_received,
-        InsertOutcome::Duplicate | InsertOutcome::OutOfWindow => &sh.stats.pkts_duplicate,
-    };
-    ConnStats::inc(counter, 1);
+    debug_assert_eq!(
+        stored == InsertOutcome::Stored,
+        verdict != DataVerdict::Duplicate,
+        "core and buffer disagree about {}",
+        d.seq
+    );
     debug_check_rcv_sampled(&r);
     rx.wake_rcv |= std::mem::take(&mut r.parked);
 }
 
 fn handle_ack(sh: &Shared, ack_seq: u32, data: &AckData, now: Nanos, rx: &mut RxScratch) {
-    ConnStats::inc(&sh.stats.acks_received, 1);
     let mut s = sh.snd.lock();
     let Some(acked) = s.core.on_ack(now, ack_seq, data, sh.min_snd_period_us()) else {
-        ConnStats::inc(&sh.stats.pkts_rejected, 1);
         return;
     };
     if acked.pkts > 0 {
@@ -1039,14 +1035,10 @@ fn handle_ack(sh: &Shared, ack_seq: u32, data: &AckData, now: Nanos, rx: &mut Rx
 }
 
 fn handle_nak(sh: &Shared, mut ranges: Vec<SeqRange>, now: Nanos, rx: &mut RxScratch) {
-    ConnStats::inc(&sh.stats.naks_received, 1);
     let mut s = sh.snd.lock();
-    let rejected = {
+    {
         let _l = sh.instr.scope(Category::Loss);
-        s.core.on_nak(now, &mut ranges, sh.min_snd_period_us())
-    };
-    if rejected {
-        ConnStats::inc(&sh.stats.pkts_rejected, 1);
+        s.core.on_nak(now, &mut ranges, sh.min_snd_period_us());
     }
     if ranges.is_empty() {
         return;
@@ -1055,9 +1047,8 @@ fn handle_nak(sh: &Shared, mut ranges: Vec<SeqRange>, now: Nanos, rx: &mut RxScr
     rx.wake_snd |= std::mem::take(&mut s.parked);
 }
 
-/// Book an ACK the core produced and put it on the wire.
+/// Put an ACK the core produced on the wire.
 fn send_ack(sh: &Shared, (ack_seq, data): (u32, AckData), now: Nanos) {
-    ConnStats::inc(&sh.stats.acks_sent, 1);
     sh.send_ctrl(ControlBody::Ack { ack_seq, data }, now);
 }
 
@@ -1083,7 +1074,6 @@ fn rcv_timers(sh: &Shared, now: Nanos) -> Nanos {
         send_ack(sh, ack, now);
     }
     if let Some(due) = out.nak {
-        ConnStats::inc(&sh.stats.naks_sent, 1);
         sh.send_ctrl(ControlBody::Nak(due), now);
     }
     next
@@ -1093,12 +1083,9 @@ fn rcv_timers(sh: &Shared, now: Nanos) -> Nanos {
 /// next has something to do.
 fn snd_timers(sh: &Shared, now: Nanos) -> Nanos {
     let mut s = sh.snd.lock();
-    let tick = s.core.on_timer(now, sh.min_snd_period_us());
+    let action = s.core.on_timer(now, sh.min_snd_period_us());
     let next = s.core.next_deadline();
-    if tick.expired {
-        ConnStats::inc(&sh.stats.exp_timeouts, 1);
-    }
-    match tick.action {
+    match action {
         TimerAction::None => {}
         TimerAction::Broken => {
             drop(s);

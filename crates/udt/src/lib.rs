@@ -70,7 +70,6 @@ pub mod perfmon;
 pub(crate) mod pool;
 pub mod resilience;
 pub mod socket;
-pub mod stats;
 pub mod timing;
 
 pub use auth::AuthPolicy;
@@ -83,7 +82,7 @@ pub use obs::MetricsHub;
 pub use perfmon::{throughput_between, PerfSnapshot};
 pub use resilience::{serve_download, ResilientSession, ResumableFileSink, SessionTable};
 pub use socket::UdtListener;
-pub use stats::ConnStats;
+pub use udt_metrics::counters::ConnStats;
 // Re-export the tracing handle types so applications can enable tracing
 // without naming udt-trace in their own dependency list.
 pub use udt_trace::{Tracer, DEFAULT_RING_CAPACITY};

@@ -711,7 +711,7 @@ mod tests {
         )
         .unwrap();
         assert!(recv_one(&q, Duration::from_millis(300)).is_none());
-        assert_eq!(server.counters.snapshot().tags_bad, 1);
+        assert_eq!(server.counters().snapshot().tags_bad, 1);
 
         // Correctly tagged control is delivered (tag stripped).
         let tagged = |pkt: &Packet| {
@@ -730,7 +730,7 @@ mod tests {
         assert!(matches!(pkt, Packet::Data(_)));
         tagged(&data);
         assert!(recv_one(&q, Duration::from_millis(300)).is_none());
-        assert_eq!(server.counters.snapshot().replays, 1);
+        assert_eq!(server.counters().snapshot().replays, 1);
 
         // clear_auth returns the connection to plaintext.
         b.clear_auth(7);
@@ -784,7 +784,7 @@ mod tests {
         send(64);
         let (pkt, ..) = recv_one(&q, Duration::from_secs(2)).expect("retransmission delivered");
         assert!(matches!(pkt, Packet::Data(d) if d.seq == SeqNo::new(64)));
-        assert_eq!(server.counters.snapshot().replays, 0);
+        assert_eq!(server.counters().snapshot().replays, 0);
     }
 
     #[test]

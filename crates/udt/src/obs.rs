@@ -33,7 +33,7 @@ use udt_metrics::registry::{Counter, Gauge, Registry};
 use udt_trace::{EventKind, Tracer};
 
 use crate::instrument::{Instrument, CATEGORY_NAMES, N_CATEGORIES};
-use crate::stats::ConnStats;
+use crate::ConnStats;
 
 /// Poison-tolerant lock: observability must never take the transport
 /// down, so a mutex poisoned by a panicking metrics thread is recovered

@@ -6,7 +6,7 @@
 use std::time::{Duration, Instant};
 
 use crate::conn::UdtConnection;
-use crate::stats::ConnStats;
+use crate::ConnStats;
 
 /// A point-in-time view of one connection.
 #[derive(Debug, Clone)]
@@ -103,7 +103,7 @@ impl UdtConnection {
             )
         };
         let loss_events = sh.rcv.lock().core.loss_events().len() as u64;
-        let st = &sh.stats;
+        let st = sh.stats();
         PerfSnapshot {
             conn_id: sh.local_id,
             rtt_us,

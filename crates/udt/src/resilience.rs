@@ -55,7 +55,7 @@ use parking_lot::Mutex;
 use rand::Rng;
 
 use udt_metrics::counters::{SessionCounters, SessionSnapshot};
-use udt_trace::EventKind;
+use udt_trace::{Emitter, EventKind};
 
 use crate::config::{RetryPolicy, UdtConfig};
 use crate::conn::UdtConnection;
@@ -185,7 +185,10 @@ pub struct ResilientSession {
     server: SocketAddr,
     cfg: UdtConfig,
     token: u64,
-    counters: Arc<SessionCounters>,
+    /// Session-level events, tagged with the (folded) session token since
+    /// the session outlives any one connection id; the reconnect/resume
+    /// counters are their fold (`reconnect_successes` has no event).
+    events: Emitter<SessionCounters>,
     conn: Option<UdtConnection>,
 }
 
@@ -194,20 +197,22 @@ impl ResilientSession {
     /// itself retried under `cfg.retry` when it fails transiently.
     pub fn connect(server: SocketAddr, cfg: UdtConfig) -> Result<ResilientSession> {
         let token = rand::thread_rng().gen_range(1..=u64::MAX);
-        let counters = Arc::new(SessionCounters::new());
+        // The token folded into a 32-bit trace id.
+        let id = (token ^ (token >> 32)) as u32;
+        let events: Emitter<SessionCounters> = Emitter::new(cfg.tracer.clone(), id, 0);
         if let Some(hub) = &cfg.metrics {
             // Label by token (the session outlives any one connection id);
             // a clash only degrades observability.
             let tok = format!("{token:016x}");
             let _ = hub
                 .registry()
-                .register_family(&[("session", tok.as_str())], Arc::clone(&counters));
+                .register_family(&[("session", tok.as_str())], Arc::clone(events.counters()));
         }
         let mut sess = ResilientSession {
             server,
             cfg,
             token,
-            counters,
+            events,
             conn: None,
         };
         match UdtConnection::connect_session(server, sess.cfg.clone(), token, 0) {
@@ -228,15 +233,7 @@ impl ResilientSession {
 
     /// Snapshot of the reconnect/resume counters.
     pub fn counters(&self) -> SessionSnapshot {
-        self.counters.snapshot()
-    }
-
-    /// Emit a session-level trace event, tagged with the (folded) session
-    /// token since the session outlives any one connection id.
-    fn trace(&self, kind: EventKind) {
-        self.cfg
-            .tracer
-            .emit((self.token ^ (self.token >> 32)) as u32, kind);
+        self.events.counters().snapshot()
     }
 
     /// Upload `len` bytes of `path`. Survives outages: on `Broken` (or a
@@ -255,8 +252,7 @@ impl ResilientSession {
             // server's staged high-water mark, i.e. bytes we skip.
             let start = conn.peer_resume_offset().min(len);
             if start > 0 {
-                self.counters.resumed_bytes(start);
-                self.trace(EventKind::Resume { offset: start });
+                self.events.emit(EventKind::Resume { offset: start });
             }
             let attempt = (|| {
                 send_preamble(&conn, start, len)?;
@@ -287,8 +283,7 @@ impl ResilientSession {
                 Some(c) => c,
                 None => {
                     if have > 0 {
-                        self.counters.resumed_bytes(have);
-                        self.trace(EventKind::Resume { offset: have });
+                        self.events.emit(EventKind::Resume { offset: have });
                     }
                     self.reconnect(have, UdtError::Broken)?
                 }
@@ -367,8 +362,7 @@ impl ResilientSession {
                 }
             }
             std::thread::sleep(backoff);
-            self.counters.reconnect_attempts(1);
-            self.trace(EventKind::Reconnect {
+            self.events.emit(EventKind::Reconnect {
                 attempt,
                 // udt-lint: allow(as-cast) — backoff is policy-bounded, fits u32 ms
                 backoff_ms: backoff.as_millis() as u32,
@@ -380,7 +374,7 @@ impl ResilientSession {
                 local_resume,
             ) {
                 Ok(c) => {
-                    self.counters.reconnect_successes(1);
+                    self.events.counters().reconnect_successes(1);
                     return Ok(c);
                 }
                 Err(e) if retryable(&e) => last_err = e,

@@ -44,7 +44,7 @@ use udt_metrics::counters::{AuthCounters, AuthSnapshot, ListenerCounters, Listen
 use udt_proto::auth::{ct_eq64, handshake_tag, AuthField, MacKey, AUTH_REQUIRE};
 use udt_proto::ctrl::{ControlBody, ControlPacket, HandshakeData, HandshakeExt, HandshakeReqType};
 use udt_proto::{Packet, SeqNo, SEQ_MAX};
-use udt_trace::{EventKind, HsPhase};
+use udt_trace::{Emitter, EventKind, HsPhase};
 
 use crate::auth::{AuthCtx, AuthPolicy};
 use crate::config::UdtConfig;
@@ -215,6 +215,10 @@ impl UdtConnection {
         // reported instead of a bare timeout so the caller can tell "the
         // server is down" from "the server refused us".
         let mut reject: Option<&'static str> = None;
+        // This end's handshake progress, on the trace (a client keeps no
+        // handshake counters).
+        let tracer = cfg.tracer.clone();
+        let hs = move |phase, peer| tracer.emit(local_id, EventKind::Handshake { phase, peer });
         'solicit: loop {
             let mut req_h = HandshakeData {
                 version: UDT_VERSION,
@@ -249,13 +253,7 @@ impl UdtConnection {
                 body: ControlBody::Handshake(req_h),
             });
             mux.send(&req, server, &instr)?;
-            cfg.tracer.emit(
-                local_id,
-                EventKind::Handshake {
-                    phase: HsPhase::Request,
-                    peer: 0,
-                },
-            );
+            hs(HsPhase::Request, 0);
             retries += 1;
             let wait_until = Instant::now() + cfg.handshake_retry;
             loop {
@@ -326,13 +324,7 @@ impl UdtConnection {
                                     }
                                 }
                                 cookie = e.cookie;
-                                cfg.tracer.emit(
-                                    local_id,
-                                    EventKind::Handshake {
-                                        phase: HsPhase::Challenge,
-                                        peer: 0,
-                                    },
-                                );
+                                hs(HsPhase::Challenge, 0);
                                 continue 'solicit;
                             }
                         }
@@ -390,13 +382,7 @@ impl UdtConnection {
                                 // a keyless request); ignore it.
                                 (_, None) => {}
                             }
-                            cfg.tracer.emit(
-                                local_id,
-                                EventKind::Handshake {
-                                    phase: HsPhase::Accepted,
-                                    peer: h.socket_id,
-                                },
-                            );
+                            hs(HsPhase::Accepted, h.socket_id);
                             let negotiated = UdtConfig {
                                 mss: cfg.mss.min(h.mss),
                                 ..cfg
@@ -425,13 +411,7 @@ impl UdtConnection {
             if Instant::now() >= deadline {
                 return Err(match reject {
                     Some(reason) => {
-                        cfg.tracer.emit(
-                            local_id,
-                            EventKind::Handshake {
-                                phase: HsPhase::Rejected,
-                                peer: 0,
-                            },
-                        );
+                        hs(HsPhase::Rejected, 0);
                         // A refused handshake is a fatal event worth a
                         // flight recording, same as a broken connection.
                         if let Some(dir) = &cfg.flight_dir {
@@ -491,8 +471,9 @@ impl UdtListener {
         let (tx, rx) = crossbeam::channel::bounded(cfg.accept_backlog.max(1));
         let stop = Arc::new(AtomicBool::new(false));
         let draining = Arc::new(AtomicBool::new(false));
-        let counters = Arc::new(ListenerCounters::new());
-        let auth_counters = Arc::new(AuthCounters::new());
+        let hs: Emitter<ListenerCounters> = Emitter::new(cfg.tracer.clone(), 0, 0);
+        let auth: Emitter<AuthCounters> = Emitter::new(cfg.tracer.clone(), 0, 0);
+        let (counters, auth_counters) = (Arc::clone(hs.counters()), Arc::clone(auth.counters()));
         if let Some(hub) = hub {
             let port = mux.local_addr().port().to_string();
             let labels = [("listener", port.as_str())];
@@ -507,8 +488,6 @@ impl UdtListener {
             let mux = Arc::clone(&mux);
             let stop = Arc::clone(&stop);
             let draining = Arc::clone(&draining);
-            let counters = Arc::clone(&counters);
-            let auth_counters = Arc::clone(&auth_counters);
             let sessions = Arc::clone(&sessions);
             let conn_table = Arc::clone(&conn_table);
             std::thread::Builder::new()
@@ -521,8 +500,8 @@ impl UdtListener {
                         accepted: tx,
                         stop,
                         draining,
-                        counters,
-                        auth_counters,
+                        hs,
+                        auth,
                         sessions,
                         conn_table,
                     });
@@ -623,8 +602,11 @@ struct ListenerCtx {
     accepted: Sender<UdtConnection>,
     stop: Arc<AtomicBool>,
     draining: Arc<AtomicBool>,
-    counters: Arc<ListenerCounters>,
-    auth_counters: Arc<AuthCounters>,
+    /// Handshake events, tagged 0 (the listener) unless said otherwise;
+    /// the hardening counters are their fold (`gc_evictions` has no event).
+    hs: Emitter<ListenerCounters>,
+    /// `auth_fail` / `auth_reject` events of handshakes, and their counters.
+    auth: Emitter<AuthCounters>,
     sessions: Arc<SessionTable>,
     conn_table: ConnTable,
 }
@@ -716,7 +698,7 @@ fn listener_service(ctx: ListenerCtx) {
             });
             evicted += ctx.sessions.gc(ttl);
             if evicted > 0 {
-                ctx.counters.gc_evictions(evicted);
+                ctx.hs.counters().gc_evictions(evicted);
             }
             rate.sweep(now);
         }
@@ -738,15 +720,14 @@ fn listener_service(ctx: ListenerCtx) {
             // unusable connection (e.g. an MSS below the header size).
             continue;
         }
+        // A request answered with something other than a connection: one
+        // event, which the hardening counters fold.
+        let shed = |phase| {
+            let peer = h.socket_id;
+            ctx.hs.emit(EventKind::Handshake { phase, peer });
+        };
         if !rate.admit(from, ctx.cfg.handshake_rate_limit, now) {
-            ctx.counters.rate_limited(1);
-            ctx.cfg.tracer.emit(
-                0,
-                EventKind::Handshake {
-                    phase: HsPhase::RateLimited,
-                    peer: h.socket_id,
-                },
-            );
+            shed(HsPhase::RateLimited);
             continue;
         }
         if ctx.draining.load(Ordering::Relaxed) {
@@ -777,26 +758,11 @@ fn listener_service(ctx: ListenerCtx) {
                         && echoed == cookie_for(secret, from, h.socket_id, bucket - 1)));
             if !valid {
                 if echoed != 0 {
-                    // Wrong or expired cookie: count it, then re-challenge
+                    // Wrong or expired cookie: say so, then re-challenge
                     // so a peer whose cookie merely aged out can recover.
-                    ctx.counters.cookies_rejected(1);
-                    ctx.cfg.tracer.emit(
-                        0,
-                        EventKind::Handshake {
-                            phase: HsPhase::Rejected,
-                            peer: h.socket_id,
-                        },
-                    );
-                } else {
-                    ctx.counters.challenges_sent(1);
+                    shed(HsPhase::Rejected);
                 }
-                ctx.cfg.tracer.emit(
-                    0,
-                    EventKind::Handshake {
-                        phase: HsPhase::Challenge,
-                        peer: h.socket_id,
-                    },
-                );
+                shed(HsPhase::Challenge);
                 let mut ch_h = HandshakeData {
                     version: UDT_VERSION,
                     req_type: HandshakeReqType::Challenge,
@@ -838,51 +804,34 @@ fn listener_service(ctx: ListenerCtx) {
         // UDT-AUTH gate: a request past the cookie proof must also present
         // a valid field-level tag before an authenticated session is
         // granted. Under `Require` an unauthenticated request is dropped
-        // as silently as a bad cookie (no oracle for key guessing), but
-        // counted and traced; under `Prefer` it falls back to plaintext.
+        // as silently as a bad cookie (no oracle for key guessing), but on
+        // the trace; under `Prefer` it falls back to plaintext.
         let req_auth = h.ext.and_then(|e| e.auth);
         let authenticated = match (&hs_key, req_auth) {
             (Some(hk), Some(af)) => {
                 let ok = ct_eq64(handshake_tag(hk, &h, af.flags, af.nonce), af.tag);
                 if ok {
-                    ctx.auth_counters.tags_ok(1);
+                    ctx.auth.counters().tags_ok(1);
                 } else {
-                    ctx.auth_counters.tags_bad(1);
+                    // A tag was presented but did not verify: wrong key or
+                    // a tampered handshake (`seq` 0: not a data packet).
+                    ctx.auth.emit(EventKind::AuthFail { seq: 0 });
                 }
                 ok
             }
             _ => false,
         };
-        if auth_on && !authenticated {
-            if req_auth.is_some() {
-                // A tag was presented but did not verify: wrong key or a
-                // tampered handshake. Worth an event under any policy.
-                ctx.cfg
-                    .tracer
-                    .emit(0, EventKind::AuthReject { peer: h.socket_id });
+        if auth_on && !authenticated && ctx.cfg.auth == AuthPolicy::Require {
+            if req_auth.is_none() {
+                ctx.auth.emit(EventKind::AuthReject { peer: h.socket_id });
             }
-            if ctx.cfg.auth == AuthPolicy::Require {
-                if req_auth.is_none() {
-                    ctx.auth_counters.unauth_rejected(1);
-                    ctx.cfg
-                        .tracer
-                        .emit(0, EventKind::AuthReject { peer: h.socket_id });
-                }
-                continue;
-            }
+            continue;
         }
         // Backlog gate: a full accept queue sheds load *before* any
         // allocation, and the shed request is not cached, so the peer's
         // retransmission retries cleanly once the queue empties.
         if ctx.accepted.len() >= ctx.cfg.accept_backlog {
-            ctx.counters.backlog_drops(1);
-            ctx.cfg.tracer.emit(
-                0,
-                EventKind::Handshake {
-                    phase: HsPhase::BacklogDrop,
-                    peer: h.socket_id,
-                },
-            );
+            shed(HsPhase::BacklogDrop);
             continue;
         }
         let local_id = gen_socket_id();
@@ -986,19 +935,16 @@ fn listener_service(ctx: ListenerCtx) {
         let _ = ctx.mux.send(&resp, from, &instr);
         ctx.conn_table.lock().insert(key, (resp, now));
         match ctx.accepted.try_send(conn) {
-            Ok(()) => {
-                ctx.counters.handshakes_accepted(1);
-                ctx.cfg.tracer.emit(
-                    local_id,
-                    EventKind::Handshake {
-                        phase: HsPhase::Accepted,
-                        peer: h.socket_id,
-                    },
-                );
-            }
+            Ok(()) => ctx.hs.emit_as(
+                local_id,
+                EventKind::Handshake {
+                    phase: HsPhase::Accepted,
+                    peer: h.socket_id,
+                },
+            ),
             Err(TrySendError::Full(conn)) => {
                 // Raced past the pre-check; undo so the peer retries.
-                ctx.counters.backlog_drops(1);
+                shed(HsPhase::BacklogDrop);
                 ctx.conn_table.lock().remove(&key);
                 drop(conn);
             }
@@ -1079,7 +1025,7 @@ mod tests {
 
     #[test]
     fn round_trips_stay_clean_and_on_the_mux_thread() {
-        use crate::stats::ConnStats;
+        use crate::ConnStats;
         const ROUNDS: u64 = 500;
         let listener =
             UdtListener::bind("127.0.0.1:0".parse().unwrap(), UdtConfig::default()).unwrap();

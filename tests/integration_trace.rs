@@ -10,16 +10,17 @@
 //! interleaves the injected faults with the protocol's reaction.
 
 use std::collections::BTreeSet;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use netsim::agents::udt::{attach_udt_flow_traced, UdtSenderCfg};
+use netsim::agents::udt::{attach_udt_flow_traced, UdtReceiver, UdtSender, UdtSenderCfg};
 use netsim::{dumbbell, DumbbellCfg};
 use udt_algo::Nanos;
 use udt_chaos::ImpairmentSpec;
-use udt_trace::{flight, json, ConnState, EventKind, TimerKind, TraceEvent, Tracer};
+use udt_metrics::counters::{ConnStats, CounterFamily};
+use udt_trace::{flight, json, ConnState, EventKind, Fold, TimerKind, TraceEvent, Tracer};
 
 fn tmpdir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("udt-trace-it-{tag}-{}", std::process::id()));
@@ -45,6 +46,60 @@ const SOCKET_ONLY: [&str; 4] = ["batch", "state", "handshake", "buf"];
 /// repair of the same packet (a duplicate): either host may or may not.
 const SCHEDULE_DEPENDENT: [&str; 1] = ["data_drop"];
 
+/// The counters that are folds over events: all but the byte counts, which
+/// are taken where `send`/`recv` cross the API and have no event.
+fn event_derived(stats: &ConnStats) -> Vec<(&'static str, u64)> {
+    let mut all = stats.samples();
+    all.retain(|(name, _)| !name.starts_with("bytes_"));
+    all
+}
+
+/// Replay an exported timeline — re-read from disk through `parse_line` —
+/// through the library's fold, one `ConnStats` per connection id.
+fn replay(path: &Path) -> std::collections::BTreeMap<u32, ConnStats> {
+    let mut conns = std::collections::BTreeMap::<u32, ConnStats>::new();
+    for ev in flight::read_jsonl(path).expect("export parses") {
+        conns.entry(ev.conn).or_default().apply(&ev.kind);
+    }
+    conns
+}
+
+/// The `sent(retx) recvd acks naks drops chaos exp` columns `udtmon --once`
+/// prints for connection `conn` of the file at `path`.
+fn udtmon_row(path: &Path, conn: u32) -> Vec<String> {
+    // Cargo builds `udt`'s binaries beside the test executables' `deps/`.
+    let exe = std::env::current_exe().expect("test exe");
+    let udtmon = exe.parent().and_then(|deps| deps.parent()).expect("target dir").join("udtmon");
+    assert!(udtmon.exists(), "{} not built: run `cargo build -p udt --bins`", udtmon.display());
+    let out = std::process::Command::new(udtmon).arg("--once").arg(path).output().expect("udtmon");
+    assert!(out.status.success(), "udtmon failed: {}", String::from_utf8_lossy(&out.stderr));
+    let text = String::from_utf8(out.stdout).expect("utf-8");
+    let row = text
+        .lines()
+        .find(|l| l.split_whitespace().next() == Some(&format!("{conn:x}")))
+        .unwrap_or_else(|| panic!("no row for {conn:x} in:\n{text}"));
+    row.replace(['(', ')'], " ").split_whitespace().skip(2).take(8).map(String::from).collect()
+}
+
+/// What that row must read for a connection whose counters are `stats`
+/// (no link or chaos events carry a connection's id in these runs).
+fn expected_row(stats: &ConnStats) -> Vec<String> {
+    let get = ConnStats::get;
+    let retx = get(&stats.pkts_retransmitted);
+    [
+        get(&stats.pkts_sent) + retx,
+        retx,
+        get(&stats.pkts_received),
+        get(&stats.acks_sent) + get(&stats.acks_received),
+        get(&stats.naks_sent) + get(&stats.naks_received),
+        get(&stats.pkts_duplicate) + get(&stats.pkts_rejected),
+        0,
+        get(&stats.exp_timeouts),
+    ]
+    .map(|v| v.to_string())
+    .to_vec()
+}
+
 /// The protocol event names in `events`: everything but the lists above.
 fn protocol_names(events: &[TraceEvent]) -> BTreeSet<&'static str> {
     events
@@ -69,12 +124,33 @@ fn netsim_and_socket_exports_share_one_schema() {
     let mut cfg = UdtSenderCfg::bulk(d.sinks[0], f);
     cfg.total_pkts = Some(3_000);
     let sim_tracer = Tracer::with_clock(1 << 14, d.sim.trace_clock());
-    attach_udt_flow_traced(&mut d.sim, d.sources[0], d.sinks[0], cfg, &sim_tracer);
+    let (sid, rid) =
+        attach_udt_flow_traced(&mut d.sim, d.sources[0], d.sinks[0], cfg, &sim_tracer);
     d.sim.run_until(Nanos::from_secs(20));
     let sim_events = sim_tracer.snapshot();
     assert!(!sim_events.is_empty(), "sim emitted nothing");
+    assert_eq!(sim_events.len() as u64, sim_tracer.pushed(), "sim ring wrapped");
     let sim_path = dir.join("sim.jsonl");
     export_jsonl(&sim_path, &sim_events);
+
+    // The invariant, simulator host: the two agents of the flow share its id
+    // on the timeline, so the fold of the export is their counters summed;
+    // and the accessors experiments call read those same counters.
+    let (snd, rcv) = (d.sim.agent_as::<UdtSender>(sid), d.sim.agent_as::<UdtReceiver>(rid));
+    let flow = u32::try_from(f.0).expect("flow id");
+    let sim_fold = replay(&sim_path).remove(&flow).expect("the flow is on the timeline");
+    let live: Vec<_> = event_derived(snd.stats())
+        .into_iter()
+        .zip(event_derived(rcv.stats()))
+        .map(|((name, a), (_, b))| (name, a + b))
+        .collect();
+    assert_eq!(event_derived(&sim_fold), live, "netsim counters are not the fold of its export");
+    assert!(ConnStats::get(&sim_fold.naks_received) > 0, "the run was meant to be lossy");
+    assert_eq!(snd.sent_new(), ConnStats::get(&sim_fold.pkts_sent));
+    assert_eq!(snd.sent_retx(), ConnStats::get(&sim_fold.pkts_retransmitted));
+    assert_eq!(rcv.received_pkts(), ConnStats::get(&sim_fold.pkts_received));
+    assert_eq!(rcv.duplicate_pkts(), ConnStats::get(&sim_fold.pkts_duplicate));
+    assert_eq!(udtmon_row(&sim_path, flow), expected_row(&sim_fold));
 
     // World 2: real sockets through a 2 %-loss emulated link, monotonic time.
     let sock_tracer = Tracer::ring(1 << 16);
@@ -104,6 +180,8 @@ fn netsim_and_socket_exports_share_one_schema() {
                     }
                 }
             }
+            let _ = conn.close();
+            conn
         })
     };
     let conn = udt::UdtConnection::connect(addr, ucfg).expect("connect");
@@ -112,12 +190,32 @@ fn netsim_and_socket_exports_share_one_schema() {
         conn.send(&chunk).expect("send");
     }
     conn.close().expect("close");
-    server.join().expect("server");
+    let served = server.join().expect("server");
     emu.shutdown();
     let sock_events = sock_tracer.snapshot();
     assert!(!sock_events.is_empty(), "sockets emitted nothing");
+    assert_eq!(sock_events.len() as u64, sock_tracer.pushed(), "socket ring wrapped");
     let sock_path = dir.join("sock.jsonl");
     export_jsonl(&sock_path, &sock_events);
+
+    // The invariant, socket host: both closed connections' counters are the
+    // fold of what the export holds under their ids, and `udtmon` prints
+    // them. (Which id is whose: only the client sent data.)
+    let mut sock_fold = replay(&sock_path);
+    sock_fold.remove(&0); // the listener's handshake events
+    assert_eq!(sock_fold.len(), 2, "two connections on the timeline");
+    for (id, fold) in &sock_fold {
+        let sender = ConnStats::get(&fold.pkts_sent) > 0;
+        let live = if sender { conn.stats() } else { served.stats() };
+        assert_eq!(
+            event_derived(fold),
+            event_derived(live),
+            "{} counters are not the fold of its export",
+            if sender { "client" } else { "server" }
+        );
+        assert_eq!(udtmon_row(&sock_path, *id), expected_row(fold));
+    }
+    assert!(ConnStats::get(&conn.stats().naks_received) > 0, "2 % loss and no NAK");
 
     // The shared parser must accept every line of both exports, and the
     // round-trip must be lossless.
