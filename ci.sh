@@ -136,9 +136,13 @@ timeout 300 "$bench" exp auth trace_overhead metrics_overhead --quick
 # The repository benchmark (benchmark/) is a stand-alone package outside
 # this workspace, so nothing above compiles it: a changed `pub` item or
 # thread name it keys on would otherwise only fail at the driver. Its unit
-# tests, then every workload end to end at smoke size.
+# tests, then every workload end to end at smoke size. `close()` sends one
+# `Shutdown` and returns (the repeats are the timer thread's): a sleep or a
+# wait for the answer on that path reads as tens of ms on some workload.
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
-bash benchmark/run.sh --smoke --trace 0
+bash benchmark/run.sh --smoke --trace 0 | tee /dev/stderr | awk '
+  $1 == "close_p50_ms" && $2 >= 5 { print "ci: close_p50_ms " $2 " ms (>= 5 ms)"; bad = 1 }
+  END { exit bad }'
 
 # One release-codegen pass with the runtime invariant hooks compiled in
 # (conn/buffer/losslist check_invariants fire on the live data path).

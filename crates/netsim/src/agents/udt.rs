@@ -9,7 +9,8 @@
 //! Differences from the socket implementation, all of them the host's:
 //!
 //! * no handshake: both agents are configured with the initial sequence
-//!   number, and a bounded transfer ends with one `Shutdown`;
+//!   number (a bounded transfer ends as a socket's does, with the core's
+//!   answered `Shutdown`);
 //! * the application is a bulk source (optionally bounded, or fed by a
 //!   payload hook) and a sink that reads everything the moment it is in
 //!   order, so the receive buffer holds only what waits behind a loss;
@@ -27,7 +28,7 @@
 use bytes::Bytes;
 use udt_algo::clock::SYN;
 use udt_algo::conn::{
-    opens_probe_pair, CoreTrace, DataVerdict, RcvCore, SndCfg, SndCore, TimerAction,
+    opens_probe_pair, CloseCore, CoreTrace, DataVerdict, RcvCore, SndCfg, SndCore, TimerAction,
 };
 use udt_algo::{Nanos, RateControl, SabulCc, UdtCc, UdtCcConfig};
 use udt_metrics::counters::ConnStats;
@@ -141,6 +142,7 @@ fn send_ctrl(ctx: &mut Ctx, to: NodeId, flow: FlowId, body: ControlBody, size: u
 pub struct UdtSender {
     cfg: UdtSenderCfg,
     core: SndCore,
+    close: CloseCore,
     /// When the pending `TOK_SND` is meant to fire (earlier ones are stale).
     snd_deadline: Nanos,
     /// No `TOK_SND` is pending: nothing was sendable. An ACK, a NAK or a
@@ -150,7 +152,7 @@ pub struct UdtSender {
     /// When anything was last sent (a keep-alive is answered only after a
     /// silence of ours).
     last_sent: Nanos,
-    /// Transfer complete and `Shutdown` sent, or the peer declared gone.
+    /// The `Shutdown` exchange is over, or the peer was declared gone.
     finished: bool,
     /// Where `DataSend` goes (the core emits the rest through a clone) and
     /// the counters both fold into; the tracer is disabled by default.
@@ -176,6 +178,7 @@ impl UdtSender {
         let trace = CoreTrace::default();
         UdtSender {
             core: Self::core_for(&cfg, trace.clone()),
+            close: CloseCore::new(trace.clone()),
             snd_deadline: Nanos::ZERO,
             parked: false,
             last_sent: Nanos::ZERO,
@@ -213,6 +216,7 @@ impl UdtSender {
     pub fn with_tracer(mut self, t: Tracer) -> UdtSender {
         self.trace = CoreTrace::new(t, self.cfg.flow.0 as u32, 0);
         self.core = Self::core_for(&self.cfg, self.trace.clone());
+        self.close = CloseCore::new(self.trace.clone());
         self
     }
 
@@ -258,6 +262,19 @@ impl UdtSender {
     fn ctrl(&mut self, ctx: &mut Ctx, body: ControlBody, size: u32) {
         self.last_sent = ctx.now;
         send_ctrl(ctx, self.cfg.dst, self.cfg.flow, body, size);
+    }
+
+    /// Send what the close machine asked for; once it is done, so are we.
+    fn close_step(&mut self, ctx: &mut Ctx, send: Option<ControlBody>) {
+        if let Some(body) = send {
+            self.ctrl(ctx, body, ctrl_size(0));
+        }
+        self.finished |= self.close.is_done();
+    }
+
+    /// Data still flows: neither end has closed and the peer is there.
+    fn open(&self) -> bool {
+        !self.finished && self.close.is_open()
     }
 
     /// Send the packet the core picks next. `Err` when there is none, and
@@ -316,13 +333,13 @@ impl UdtSender {
 
     /// Window space, a repair or new feedback: restart a parked sender.
     fn wake(&mut self, ctx: &mut Ctx) {
-        if self.parked && !self.finished {
+        if self.parked && self.open() {
             self.schedule_snd(ctx, Nanos::ZERO);
         }
     }
 
     fn on_snd_timer(&mut self, ctx: &mut Ctx) {
-        if ctx.now < self.snd_deadline || self.finished {
+        if ctx.now < self.snd_deadline || !self.open() {
             return; // stale timer
         }
         let syn = self.cfg.cc.syn();
@@ -341,8 +358,9 @@ impl UdtSender {
             }
             Err(_) if self.transfer_complete() => {
                 // As a socket's `close()`: everything is acknowledged.
-                self.finished = true;
-                self.ctrl(ctx, ControlBody::Shutdown, ctrl_size(0));
+                let first = self.close.close(ctx.now, self.core.rtt_bound());
+                self.close_step(ctx, first);
+                ctx.timer_at(self.close.next_deadline(), TOK_TIMER);
             }
             // The payload source has nothing yet: poll it again shortly.
             Err(true) => self.schedule_snd(ctx, syn),
@@ -363,7 +381,12 @@ impl Agent for UdtSender {
         let Payload::Udt(Packet::Control(ctrl)) = pkt.payload else {
             return;
         };
-        if self.finished {
+        if let ControlBody::Shutdown { answer } = ctrl.body {
+            // Heard in every state: a peer whose answer was lost asks again.
+            let reply = self.close.on_shutdown(ctx.now, answer);
+            return self.close_step(ctx, reply);
+        }
+        if !self.open() {
             return;
         }
         self.core.on_arrival(ctx.now);
@@ -385,14 +408,21 @@ impl Agent for UdtSender {
                     self.ctrl(ctx, ControlBody::KeepAlive, ctrl_size(0));
                 }
             }
-            ControlBody::Shutdown => self.finished = true,
-            ControlBody::Ack2 { .. } | ControlBody::Handshake(_) => {}
+            ControlBody::Ack2 { .. } | ControlBody::Handshake(_) | ControlBody::Shutdown { .. } => {}
         }
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut Ctx) {
         match token {
             TOK_SND => self.on_snd_timer(ctx),
+            TOK_TIMER if !self.finished && !self.close.is_open() => {
+                // Our `Shutdown` is unanswered: the repeats are all there is.
+                let repeat = self.close.on_timer(ctx.now);
+                self.close_step(ctx, repeat);
+                if !self.finished {
+                    ctx.timer_at(self.close.next_deadline(), TOK_TIMER);
+                }
+            }
             TOK_TIMER if !self.finished => {
                 match self.core.on_timer(ctx.now, 0.0) {
                     TimerAction::None => {}
@@ -449,6 +479,8 @@ pub struct UdtReceiver {
     /// This end's sending half: it carries no data, only the EXP timer and
     /// the keep-alive answer.
     live: SndCore,
+    /// Answers the sender's `Shutdown`s; this end never closes first.
+    close: CloseCore,
     /// First never-delivered sequence number (delivery frontier).
     rcv_next: SeqNo,
     /// What both cores emit into: this end's counters and its tracer.
@@ -470,6 +502,7 @@ impl UdtReceiver {
         UdtReceiver {
             core,
             live,
+            close: CloseCore::new(trace.clone()),
             rcv_next: cfg.init_seq,
             trace,
             last_sent: Nanos::ZERO,
@@ -507,6 +540,7 @@ impl UdtReceiver {
     pub fn with_tracer(mut self, t: Tracer) -> UdtReceiver {
         self.trace = CoreTrace::new(t, self.cfg.flow.0 as u32, 0);
         (self.core, self.live) = Self::cores_for(&self.cfg, &self.trace);
+        self.close = CloseCore::new(self.trace.clone());
         self
     }
 
@@ -590,6 +624,18 @@ impl Agent for UdtReceiver {
         let Payload::Udt(pkt) = pkt.payload else {
             return;
         };
+        if let Packet::Control(ControlPacket {
+            body: ControlBody::Shutdown { answer },
+            ..
+        }) = pkt
+        {
+            // Answered every time, closed or not: the first answer may be lost.
+            if let Some(reply) = self.close.on_shutdown(ctx.now, answer) {
+                self.ctrl(ctx, reply, ctrl_size(0));
+            }
+            self.closed |= self.close.is_done();
+            return;
+        }
         if self.closed {
             return;
         }
@@ -605,8 +651,10 @@ impl Agent for UdtReceiver {
                         self.ctrl(ctx, ControlBody::KeepAlive, ctrl_size(0));
                     }
                 }
-                ControlBody::Shutdown => self.closed = true,
-                ControlBody::Ack { .. } | ControlBody::Nak(_) | ControlBody::Handshake(_) => {}
+                ControlBody::Ack { .. }
+                | ControlBody::Nak(_)
+                | ControlBody::Handshake(_)
+                | ControlBody::Shutdown { .. } => {}
             },
         }
     }
@@ -757,6 +805,9 @@ mod tests {
         assert_eq!(d.sim.delivered(f), total * 1500);
         let rcv = d.sim.agent_as::<UdtReceiver>(r);
         assert_eq!(rcv.received_pkts(), total);
+        // The transfer ended as a socket's does: one answered `Shutdown`.
+        assert!(snd.finished && snd.close.is_done() && rcv.closed);
+        assert_eq!(ConnStats::get(&snd.stats().shutdown_repeats), 0);
         assert!(
             !rcv.loss_events().is_empty(),
             "queue of 10 should have produced loss events"

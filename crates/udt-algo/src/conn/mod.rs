@@ -4,8 +4,8 @@
 //! The paper evaluates one protocol twice, in NS-2 and as a library. Here
 //! the real-socket stack (`udt::conn`), the simulator agents
 //! (`netsim::agents::udt`) and the model checker (`udt-verify`) all drive
-//! these two objects, so a rule about ACKs, NAKs, ACK2s, the EXP timer or
-//! keep-alives exists once:
+//! these objects, so a rule about ACKs, NAKs, ACK2s, the EXP timer,
+//! keep-alives or `Shutdown` exists once:
 //!
 //! * [`SndCore`] — the sending half: what to send next (loss list first,
 //!   §4.8), ACK and NAK processing with their plausibility clamps, the rate
@@ -14,12 +14,13 @@
 //! * [`RcvCore`] — the receiving half: arrival-speed and capacity samples,
 //!   gap detection and the immediate NAK, the periodic ACK with its
 //!   repeat-until-ACK2 rule, NAK resends, RTT from ACK2.
+//! * [`CloseCore`] — the teardown: `Shutdown` as an answered exchange,
+//!   repeated on the timer while unanswered, at most three copies.
 //!
 //! Every handler takes the host's `now` and returns what the host must put
 //! on the wire or book; nothing in here reads a clock, holds a lock, owns a
 //! byte of payload or knows a socket. A host keeps its own buffers, pacing,
-//! threads, statistics and lifecycle (handshake, close, `Shutdown`), and
-//! calls [`SndCore::check_invariants`] / [`RcvCore::check_invariants`]
+//! threads, the handshake and the flush before a close, and calls [`SndCore::check_invariants`] / [`RcvCore::check_invariants`]
 //! where it wants the cross-field conditions checked.
 //!
 //! Protocol events are emitted here ([`CoreTrace`]), so the hosts'
@@ -28,9 +29,11 @@
 //! emits, through the same handle, only what it alone knows: `DataSend` (it
 //! holds the payload), buffer levels, batches and state changes.
 
+mod close;
 mod rcv;
 mod snd;
 
+pub use close::{CloseCore, SHUTDOWN_COPIES};
 pub use rcv::{DataVerdict, RcvCore, RcvTimer};
 pub use snd::{opens_probe_pair, Acked, SndCfg, SndCore, TimerAction};
 

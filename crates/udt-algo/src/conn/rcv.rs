@@ -16,7 +16,6 @@ use crate::flow::FlowWindow;
 use crate::history::PktTimeWindow;
 use crate::losslist::RcvLossList;
 use crate::rtt::RttEstimator;
-use crate::timerctl::nak_base_interval;
 use crate::PROBE_INTERVAL;
 
 /// What [`RcvCore::on_data`] made of a data packet.
@@ -145,6 +144,11 @@ impl RcvCore {
     /// Smoothed RTT, microseconds.
     pub fn rtt_us(&self) -> f64 {
         self.rtt.rtt_us()
+    }
+
+    /// RTT + 4·RTTVar by this half's estimator (fed by ACK2s).
+    pub fn rtt_bound(&self) -> Nanos {
+        self.rtt.bound()
     }
 
     /// `(last ACK sent, last ACK the sender confirmed with an ACK2)`: the
@@ -339,8 +343,7 @@ impl RcvCore {
             // repeats an unconfirmed identical ACK after RTT + 4·RTTVar; do
             // the same, with a floor so near-zero RTT estimates don't turn
             // the repeat into a flood.
-            let repeat_after = nak_base_interval(self.rtt.rtt_us(), self.rtt.rtt_var_us())
-                .max(Nanos::from_millis(10));
+            let repeat_after = self.rtt.bound().max(Nanos::from_millis(10));
             if now.since(self.last_ack_time) < repeat_after {
                 return None; // nothing new; the SYN timer keeps ticking
             }
@@ -389,7 +392,7 @@ impl RcvCore {
     /// Loss ranges whose report is due again at `now` (§3.5: each range's
     /// interval grows with the reports already sent), and the base interval.
     fn due_naks(&mut self, now: Nanos) -> (Option<Vec<SeqRange>>, Nanos) {
-        let base = nak_base_interval(self.rtt.rtt_us(), self.rtt.rtt_var_us());
+        let base = self.rtt.bound();
         if self.loss.is_empty() {
             return (None, base);
         }

@@ -195,6 +195,11 @@ impl<C: RateControl + ?Sized> SndCore<C> {
         self.rtt.rtt_us()
     }
 
+    /// RTT + 4·RTTVar by this half's estimator (fed by the peer's ACKs).
+    pub fn rtt_bound(&self) -> Nanos {
+        self.rtt.bound()
+    }
+
     /// Current sending period, microseconds.
     pub fn pkt_snd_period_us(&self) -> f64 {
         self.cc.pkt_snd_period_us()

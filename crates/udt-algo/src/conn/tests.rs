@@ -7,7 +7,10 @@ use udt_proto::{SeqNo, SeqRange, SEQ_MAX, SEQ_TH};
 use udt_trace::{DropReason, EventKind, Tracer};
 
 use super::snd::clamp_nak_range;
-use super::{opens_probe_pair, CoreTrace, DataVerdict, RcvCore, SndCfg, SndCore, TimerAction};
+use super::{
+    opens_probe_pair, CloseCore, CoreTrace, DataVerdict, RcvCore, SndCfg, SndCore, TimerAction,
+    SHUTDOWN_COPIES,
+};
 use crate::clock::{Nanos, SYN};
 use crate::history::PktTimeWindow;
 use crate::rate::UdtCc;
@@ -615,4 +618,103 @@ fn trace_events_land_on_the_tracer_timeline() {
     assert!(events
         .iter()
         .all(|e| e.conn == 9 && e.t_ns == 5_001_000_000));
+}
+
+// --- the close machine --------------------------------------------------
+
+const PLAIN: Option<ControlBody> = Some(ControlBody::Shutdown { answer: false });
+const ANSWER: Option<ControlBody> = Some(ControlBody::Shutdown { answer: true });
+
+fn closer() -> CloseCore {
+    CloseCore::new(CoreTrace::default())
+}
+
+/// Tick `c` every millisecond over `(from, to]`; when it sent a `Shutdown`.
+fn copies_sent_at(c: &mut CloseCore, from: u64, to: u64) -> Vec<u64> {
+    let mut at = Vec::new();
+    for t in from + 1..=to {
+        let due = c.next_deadline();
+        match c.on_timer(ms(t)) {
+            Some(body) => {
+                assert_eq!(Some(body), PLAIN);
+                at.push(t);
+            }
+            // A tick that did nothing was not yet due, then or now.
+            None => assert!(c.is_done() || (due > ms(t) && c.next_deadline() > ms(t))),
+        }
+    }
+    at
+}
+
+#[test]
+fn an_answered_first_shutdown_is_the_only_one() {
+    let trace = CoreTrace::default();
+    let mut c = CloseCore::new(trace.clone());
+    assert_eq!(c.next_deadline(), Nanos(u64::MAX), "open: no timer");
+    assert_eq!(c.close(ms(5), ms(30)), PLAIN);
+    assert_eq!((c.copies_sent(), c.next_deadline()), (1, ms(35)));
+    assert_eq!(c.on_shutdown(ms(6), true), None, "an answer is not answered");
+    assert!(c.is_done());
+    assert_eq!(copies_sent_at(&mut c, 6, 500), Vec::<u64>::new());
+    assert_eq!(c.close(ms(600), ms(30)), None, "closing twice sends nothing");
+    assert_eq!(ConnStats::get(&trace.counters().shutdown_repeats), 0);
+}
+
+#[test]
+fn a_lost_answer_is_asked_for_again_after_the_rtt_bound_and_a_late_one_ends_it() {
+    let trace = CoreTrace::default();
+    let mut c = CloseCore::new(trace.clone());
+    assert_eq!(c.close(ms(0), ms(40)), PLAIN);
+    assert_eq!(copies_sent_at(&mut c, 0, 70), vec![40]);
+    assert_eq!(c.on_shutdown(ms(71), true), None);
+    assert!(c.is_done());
+    assert_eq!(copies_sent_at(&mut c, 71, 500), Vec::<u64>::new());
+    assert_eq!(ConnStats::get(&trace.counters().shutdown_repeats), 1);
+}
+
+#[test]
+fn an_unanswered_shutdown_is_sent_three_times_a_syn_apart_at_least_then_given_up() {
+    let mut c = closer();
+    // A loopback RTT: the floor is what spaces the copies.
+    assert_eq!(c.close(ms(0), Nanos::from_micros(300)), PLAIN);
+    assert_eq!(copies_sent_at(&mut c, 0, 500), vec![10, 20]);
+    assert_eq!(SHUTDOWN_COPIES, 3);
+    assert!(c.is_done(), "the last copy is not waited for");
+    assert_eq!(c.next_deadline(), Nanos(u64::MAX));
+    // The answer to the last copy arrives after all: nothing moves.
+    assert_eq!(c.on_shutdown(ms(501), true), None);
+}
+
+#[test]
+fn every_shutdown_is_answered_in_every_state_and_an_answer_never_is() {
+    let mut open = closer();
+    assert_eq!(open.on_shutdown(ms(1), true), None, "a stray answer");
+    assert!(open.is_open(), "a stray answer closes nothing");
+    assert_eq!(open.on_shutdown(ms(2), false), ANSWER);
+    assert!(open.is_done(), "the peer closed");
+    // Duplicates and repeats of the peer's Shutdown: each answered.
+    for t in 3..6 {
+        assert_eq!(open.on_shutdown(ms(t), false), ANSWER);
+        assert_eq!(open.on_shutdown(ms(t), true), None);
+    }
+    assert_eq!(open.close(ms(7), ms(30)), None, "the peer closed first");
+    let mut waiting = closer();
+    waiting.close(ms(0), ms(30));
+    assert_eq!(waiting.on_shutdown(ms(1), false), ANSWER);
+}
+
+#[test]
+fn simultaneous_close_ends_with_one_answer_each_way() {
+    let (mut a, mut b) = (closer(), closer());
+    assert_eq!(a.close(ms(0), ms(30)), PLAIN);
+    assert_eq!(b.close(ms(0), ms(30)), PLAIN);
+    // The Shutdowns cross; each counts as the other's answer.
+    assert_eq!(a.on_shutdown(ms(15), false), ANSWER);
+    assert_eq!(b.on_shutdown(ms(15), false), ANSWER);
+    assert!(a.is_done() && b.is_done());
+    // The answers arrive at machines that are done, and end there.
+    assert_eq!(a.on_shutdown(ms(30), true), None);
+    assert_eq!(b.on_shutdown(ms(30), true), None);
+    assert_eq!(copies_sent_at(&mut a, 30, 500), Vec::<u64>::new());
+    assert_eq!(copies_sent_at(&mut b, 30, 500), Vec::<u64>::new());
 }

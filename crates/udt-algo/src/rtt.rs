@@ -63,6 +63,13 @@ impl RttEstimator {
         Nanos((self.rtt_us * 1_000.0) as u64)
     }
 
+    /// RTT + 4·RTTVar: how long an exchange with the peer may take before
+    /// it counts as lost (NAK resends, ACK and `Shutdown` repeats).
+    #[inline]
+    pub fn bound(&self) -> Nanos {
+        crate::timerctl::nak_base_interval(self.rtt_us, self.rtt_var_us)
+    }
+
     /// `(RTT, RTTVar)` as the protocol's 32-bit microsecond fields (ACKs,
     /// trace events).
     #[inline]

@@ -189,6 +189,8 @@ pub struct ConnStats {
     /// Packets rejected as implausible (sequence/ack numbers outside any
     /// window the peer could legitimately use — corrupted or hostile).
     pub pkts_rejected: AtomicU64,
+    /// `Shutdown`s repeated because the copy before went unanswered.
+    pub shutdown_repeats: AtomicU64,
 }
 
 impl ConnStats {
@@ -236,6 +238,7 @@ impl Fold for ConnStats {
                 timer: TimerKind::Exp,
                 ..
             } => (&self.exp_timeouts, 1),
+            EventKind::ShutdownSend { copy } if copy > 1 => (&self.shutdown_repeats, 1),
             _ => return,
         };
         ConnStats::inc(counter, by);
@@ -264,6 +267,7 @@ impl CounterFamily for ConnStats {
             ("pkts_lost", ConnStats::get(&self.pkts_lost)),
             ("exp_timeouts", ConnStats::get(&self.exp_timeouts)),
             ("pkts_rejected", ConnStats::get(&self.pkts_rejected)),
+            ("shutdown_repeats", ConnStats::get(&self.shutdown_repeats)),
         ]
     }
 }

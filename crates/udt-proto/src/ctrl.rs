@@ -3,8 +3,8 @@
 //! Control packets share a 12-byte header with data packets but set the
 //! leading flag bit. The 15 bits after the flag carry the packet type; the
 //! second header word carries type-specific "additional info" (the ACK
-//! sequence number for ACK/ACK2, unused otherwise); type-specific control
-//! information follows the header.
+//! sequence number for ACK/ACK2, the answer flag of a shutdown, unused
+//! otherwise); type-specific control information follows the header.
 
 use crate::auth::AuthField;
 use crate::seqno::{SeqNo, SeqRange};
@@ -199,8 +199,12 @@ pub enum ControlBody {
     },
     /// Loss report: ranges of missing data packets.
     Nak(Vec<SeqRange>),
-    /// Connection teardown.
-    Shutdown,
+    /// Connection teardown, and its answer. An answer is never answered.
+    Shutdown {
+        /// This answers the peer's `Shutdown` (bit 0 of the additional-info
+        /// word; a zero word is the plain request).
+        answer: bool,
+    },
     /// Acknowledgement of ACK `ack_seq`, for RTT measurement.
     Ack2 {
         /// The ACK sequence number being acknowledged.
@@ -216,7 +220,7 @@ impl ControlPacket {
             ControlBody::KeepAlive => type_code::KEEPALIVE,
             ControlBody::Ack { .. } => type_code::ACK,
             ControlBody::Nak(_) => type_code::NAK,
-            ControlBody::Shutdown => type_code::SHUTDOWN,
+            ControlBody::Shutdown { .. } => type_code::SHUTDOWN,
             ControlBody::Ack2 { .. } => type_code::ACK2,
         }
     }
@@ -235,7 +239,7 @@ impl ControlPacket {
         ControlPacket {
             timestamp_us: 0,
             conn_id,
-            body: ControlBody::Shutdown,
+            body: ControlBody::Shutdown { answer: false },
         }
     }
 }

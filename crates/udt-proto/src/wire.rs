@@ -84,7 +84,7 @@ fn control_body_len(body: &ControlBody) -> usize {
                     HS_EXT_LEN + if e.auth.is_some() { HS_AUTH_LEN } else { 0 }
                 })
         }
-        ControlBody::KeepAlive | ControlBody::Shutdown | ControlBody::Ack2 { .. } => 0,
+        ControlBody::KeepAlive | ControlBody::Shutdown { .. } | ControlBody::Ack2 { .. } => 0,
         ControlBody::Ack { data, .. } => {
             if data.is_light() {
                 4
@@ -113,6 +113,7 @@ pub fn encode(pkt: &Packet, buf: &mut BytesMut) {
             buf.put_u32(type_word);
             let additional = match &c.body {
                 ControlBody::Ack { ack_seq, .. } | ControlBody::Ack2 { ack_seq } => *ack_seq,
+                ControlBody::Shutdown { answer } => u32::from(*answer),
                 _ => 0,
             };
             buf.put_u32(additional);
@@ -156,7 +157,7 @@ pub fn encode(pkt: &Packet, buf: &mut BytesMut) {
                         buf.put_u32(w);
                     }
                 }
-                ControlBody::KeepAlive | ControlBody::Shutdown | ControlBody::Ack2 { .. } => {}
+                ControlBody::KeepAlive | ControlBody::Shutdown { .. } | ControlBody::Ack2 { .. } => {}
             }
         }
     }
@@ -268,7 +269,9 @@ fn decode_control_body(
             }))
         }
         type_code::KEEPALIVE => Ok(ControlBody::KeepAlive),
-        type_code::SHUTDOWN => Ok(ControlBody::Shutdown),
+        type_code::SHUTDOWN => Ok(ControlBody::Shutdown {
+            answer: additional & 1 != 0,
+        }),
         type_code::ACK2 => Ok(ControlBody::Ack2 { ack_seq: additional }),
         type_code::ACK => {
             if buf.remaining() < 4 {
@@ -531,6 +534,23 @@ mod tests {
         }));
         roundtrip(Packet::Control(ControlPacket::keepalive(1)));
         roundtrip(Packet::Control(ControlPacket::shutdown(1)));
+    }
+
+    #[test]
+    fn a_shutdown_answer_is_one_bit_of_the_same_16_bytes() {
+        let answer = Packet::Control(ControlPacket {
+            body: ControlBody::Shutdown { answer: true },
+            ..ControlPacket::shutdown(1)
+        });
+        roundtrip(answer.clone());
+        let mut buf = BytesMut::new();
+        encode(&answer, &mut buf);
+        assert_eq!(buf.len(), CTRL_HEADER_LEN);
+        assert_eq!(&buf[4..8], &1u32.to_be_bytes(), "the additional-info word");
+        // What every peer before the flag sent: a zero word, a plain Shutdown.
+        buf[7] = 0;
+        let plain = Packet::Control(ControlPacket::shutdown(1));
+        assert_eq!(decode(buf.freeze()), Ok(plain));
     }
 
     #[test]

@@ -97,7 +97,10 @@ fn packet() -> impl Strategy<Value = Packet> {
             body: ControlBody::Ack2 { ack_seq: a }
         })),
         Just(Packet::Control(ControlPacket::keepalive(9))),
-        Just(Packet::Control(ControlPacket::shutdown(9))),
+        any::<bool>().prop_map(|answer| Packet::Control(ControlPacket {
+            body: ControlBody::Shutdown { answer },
+            ..ControlPacket::shutdown(9)
+        })),
     ];
     prop_oneof![data, hs, ack, nak, misc]
 }

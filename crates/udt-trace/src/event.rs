@@ -616,6 +616,17 @@ events! {
         /// Packets in the batch.
         pkts: u32 = 27,
     },
+    /// A `Shutdown` went out: we closed, and no answer has come yet.
+    ShutdownSend = "shutdown_send" {
+        /// Which copy (1 = the first; repeats follow on the timer).
+        copy: u32 = 2,
+    },
+    /// Our `Shutdown` exchange ended.
+    ShutdownDone = "shutdown_done" {
+        /// The peer answered (or closed too); `false`: every copy went
+        /// unanswered and we gave up.
+        answered: bool = true,
+    },
 }
 
 /// One trace record: a timestamp, a connection (or flow) id, and the

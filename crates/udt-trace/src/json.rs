@@ -398,8 +398,9 @@ mod tests {
 
     /// A flight dump (the lead-up to a `Broken`, then one line of every
     /// kind and the codec's edge cases) and its CSV twin, both written by
-    /// the last commit whose encoder and parser were written out by hand:
-    /// the schema table reads and writes them byte for byte.
+    /// the last commit whose encoder and parser were written out by hand
+    /// (events added since have a line appended): the schema table reads and
+    /// writes them byte for byte.
     #[test]
     fn a_dump_written_before_the_schema_table_survives_byte_for_byte() {
         let dump = include_str!("../fixtures/flight-pr18.jsonl");

@@ -15,6 +15,10 @@
 //! - the transfer can always make progress (no stuck states) — through a
 //!   dropped final ACK, a dropped ACK2, a dropped tail packet.
 //!
+//! A second scenario ([`close`]) drives two `CloseCore`s after a completed
+//! transfer through every loss, duplication and reordering of `Shutdown`s
+//! and answers; it is reported as its own row.
+//!
 //! Usage:
 //! ```text
 //! udt-verify              # full sweep (~6 min)
@@ -22,6 +26,7 @@
 //! udt-verify --replay <seed>   # re-run a violation trace verbosely
 //! ```
 
+mod close;
 mod model;
 mod search;
 
@@ -136,6 +141,15 @@ fn main() -> ExitCode {
                 println!("     replay with: udt-verify --replay \"{}\"", v.seed);
                 failed = true;
             }
+        }
+    }
+    // The close exchange: any two packets lost, any one duplicated.
+    let t = Instant::now();
+    match close::explore(2, 1) {
+        Ok(states) => println!("ok   close/d2u1: {states} states, {:.2?}", t.elapsed()),
+        Err(e) => {
+            println!("FAIL close/d2u1: {e}");
+            failed = true;
         }
     }
     println!(

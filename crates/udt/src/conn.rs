@@ -6,8 +6,9 @@
 //! [`udt_algo::conn`]'s ([`SndCore`] under the `snd` lock, [`RcvCore`] under
 //! `rcv`), shared with the simulator and the model checker. This module is
 //! what only a socket has: threads, locks and wake-ups, pacing and burst
-//! sizing, the §4.4 send-cost floor, payload buffers, Table 3 booking, and
-//! the lifecycle (`State`, close, `Shutdown`). Statistics are not booked
+//! sizing, the §4.4 send-cost floor, payload buffers, Table 3 booking, the
+//! flush before a close and the `State` the application sees (the `Shutdown`
+//! exchange behind it is [`CloseCore`]'s). Statistics are not booked
 //! here: [`ConnStats`] is a fold over the events the cores and this module
 //! emit through one [`CoreTrace`] (only the byte counts at `send`/`recv`,
 //! which no event carries, are bumped in place).
@@ -24,7 +25,8 @@
 //! * **`udt-mux`** (one per UDP socket, `crate::mux`) does the receiver's
 //!   *processing*: it runs the connection's share of every `recvmmsg` batch
 //!   to completion (`PacketSink::deliver`) under the `snd`/`rcv` locks.
-//! * **`udt-rcv-<id>`** keeps the receiver's *timers* only (`timer_loop`).
+//! * **`udt-rcv-<id>`** keeps the receiver's *timers* only (`timer_loop`),
+//!   and after a close the `Shutdown` repeats.
 //!
 //! The deviation from the paper's receiver thread is measured (DESIGN.md,
 //! "Threads: what runs where"): behind a channel it cost 11.01 of the
@@ -43,11 +45,11 @@
 //! lint follows.
 //!
 //! 1. `conn_table` — listener/rendezvous connection registry (`socket.rs`).
-//! 2. `snd` — the sending half (`SndCtl`: send buffer and [`SndCore`]).
+//! 2. `snd` — the sending half (`SndCtl`: send buffer, [`SndCore`] and
+//!    [`CloseCore`]).
 //! 3. `rcv` — the receiving half (`RcvCtl`: receive buffer and [`RcvCore`]).
 //! 4. `timer` — the timer thread's wake-up lock (guards nothing else).
-//! 5. `threads` — join-handle registry.
-//! 6. `conns` — the mux registry (`mux.rs`). Last, so that none of the above
+//! 5. `conns` — the mux registry (`mux.rs`). Last, so that none of the above
 //!    may be acquired under it: connection code never runs with it held (the
 //!    demux thread only feeds a handshake queue under it).
 //!
@@ -71,7 +73,7 @@ use parking_lot::{Condvar, Mutex};
 
 use udt_algo::clock::SYN;
 use udt_algo::conn::{
-    opens_probe_pair, CoreTrace, DataVerdict, RcvCore, SndCfg, SndCore, TimerAction,
+    opens_probe_pair, CloseCore, CoreTrace, DataVerdict, RcvCore, SndCfg, SndCore, TimerAction,
 };
 use udt_algo::{Nanos, RateControl, SabulCc, UdtCc};
 use udt_proto::ctrl::{AckData, ControlBody, ControlPacket};
@@ -94,10 +96,14 @@ pub(crate) enum State {
     Connected = 0,
     /// Local close requested: flushing.
     Closing = 1,
-    /// Fully closed (locally closed or peer shutdown processed).
-    Closed = 2,
-    /// Peer unresponsive past the EXP escalation limit.
-    Broken = 3,
+    /// `close()` has returned and our `Shutdown` is unanswered: the timer
+    /// thread repeats it; only `Shutdown`s are heard.
+    FinWait = 2,
+    /// Fully closed (our `Shutdown` exchange is over, or the peer's
+    /// `Shutdown` was processed). Final.
+    Closed = 3,
+    /// Peer unresponsive past the EXP escalation limit. Final.
+    Broken = 4,
 }
 
 impl State {
@@ -105,9 +111,16 @@ impl State {
         match v {
             0 => State::Connected,
             1 => State::Closing,
-            2 => State::Closed,
+            2 => State::FinWait,
+            3 => State::Closed,
             _ => State::Broken,
         }
+    }
+
+    /// Data, ACKs and NAKs still flow (both directions until `close()` has
+    /// flushed).
+    fn carries_data(self) -> bool {
+        matches!(self, State::Connected | State::Closing)
     }
 
     /// The tracer's view of this state (the tracer vocabulary adds
@@ -115,7 +128,7 @@ impl State {
     fn to_trace(self) -> ConnState {
         match self {
             State::Connected => ConnState::Connected,
-            State::Closing => ConnState::Closing,
+            State::Closing | State::FinWait => ConnState::Closing,
             State::Closed => ConnState::Closed,
             State::Broken => ConnState::Broken,
         }
@@ -126,6 +139,9 @@ impl State {
 pub(crate) struct SndCtl {
     pub buffer: SndBuffer,
     pub core: SndCore,
+    /// The `Shutdown` exchange (here because `close()` and the sender's
+    /// timers already take this lock).
+    pub close: CloseCore,
     /// Set under this lock by a thread about to wait on `snd_cv`; a notifier
     /// takes it and notifies (a futex syscall even with nobody there) only
     /// if it was set. A timed-out waiter leaves it set: harmless.
@@ -136,8 +152,6 @@ pub(crate) struct SndCtl {
 pub(crate) struct RcvCtl {
     pub buffer: RcvBuffer,
     pub core: RcvCore,
-    /// Peer sent Shutdown: deliver what remains, then EOF.
-    pub eof: bool,
     /// As [`SndCtl::parked`], for `rcv_cv`.
     pub parked: bool,
 }
@@ -256,8 +270,17 @@ impl Shared {
     }
 
     pub fn set_state(&self, s: State) {
-        let old = State::from_u8(self.state.swap(s as u8, Ordering::AcqRel));
-        if old != s {
+        // `Closed` and `Broken` are final: a late `FinWait` cannot reopen.
+        let Ok(old) = self
+            .state
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |old| {
+                (old < State::Closed as u8).then_some(s as u8)
+            })
+        else {
+            return;
+        };
+        let old = State::from_u8(old);
+        if old.to_trace() != s.to_trace() {
             self.trace(EventKind::StateChange {
                 from: old.to_trace(),
                 to: s.to_trace(),
@@ -323,6 +346,25 @@ impl Shared {
         let _ = self.flush(&[self.ctrl_pkt(body, now)], now);
     }
 
+    /// One step of the close machine: send what it asks for and follow it
+    /// to `Closed`. Returns when its timer is next due.
+    fn close_step<F>(&self, now: Nanos, step: F) -> Nanos
+    where
+        F: FnOnce(&mut CloseCore) -> Option<ControlBody>,
+    {
+        let (send, next, done) = {
+            let close = &mut self.snd.lock().close;
+            (step(close), close.next_deadline(), close.is_done())
+        };
+        if let Some(body) = send {
+            self.send_ctrl(body, now);
+        }
+        if done {
+            self.set_state(State::Closed);
+        }
+        next
+    }
+
     /// Feed the receiver's estimators the arrival stamps of a batch's data
     /// packets ([`RcvCore::on_arrivals`]). Stamps are on the mux's timeline
     /// (kernel receive time where available); everything else runs on the
@@ -352,7 +394,8 @@ fn build_cc(choice: &CcChoice, init_seq: SeqNo) -> Box<dyn RateControl> {
 /// [`crate::file`].
 pub struct UdtConnection {
     pub(crate) sh: Arc<Shared>,
-    threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    /// The sender and timer threads, joined when the connection is dropped.
+    threads: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl UdtConnection {
@@ -402,13 +445,13 @@ impl UdtConnection {
             snd: Mutex::new(SndCtl {
                 buffer: SndBuffer::new(cfg.snd_buf_pkts as usize, payload),
                 core: snd_core,
+                close: CloseCore::new(trace.clone()),
                 parked: false,
             }),
             snd_cv: Condvar::new(),
             rcv: Mutex::new(RcvCtl {
                 buffer: RcvBuffer::new(cfg.rcv_buf_pkts as usize, rcv_init),
                 core: rcv_core,
-                eof: false,
                 parked: false,
             }),
             rcv_cv: Condvar::new(),
@@ -462,7 +505,7 @@ impl UdtConnection {
         sh.mux.attach(local_id, &sink, rx);
         Ok(UdtConnection {
             sh,
-            threads: Mutex::new(threads),
+            threads,
         })
     }
 
@@ -589,9 +632,6 @@ impl UdtConnection {
                 }
                 return Ok(n);
             }
-            if r.eof {
-                return Ok(0);
-            }
             match sh.state() {
                 State::Connected => {}
                 State::Broken => return Err(UdtError::Broken),
@@ -621,12 +661,18 @@ impl UdtConnection {
         self.sh.snd.lock().buffer.len_pkts()
     }
 
-    /// Flush and close. Blocks (up to the configured linger) until the
-    /// peer has acknowledged everything, then sends Shutdown.
+    /// Flush and close: blocks until the peer has acknowledged everything
+    /// sent, or the configured linger expires ([`UdtError::FlushTimeout`]),
+    /// then sends the final ACK and one `Shutdown` and returns. It neither
+    /// sleeps nor waits for the peer's answer: the exchange finishes on the
+    /// connection's timer thread (a repeat per RTT + 4·RTTVar, one SYN at
+    /// least, while unanswered; three copies at most), and the peer's
+    /// `recv()` sees end-of-stream when any copy arrives. Dropping the
+    /// connection waits for that; a process that exits straight after
+    /// `close()` has sent one copy.
     pub fn close(&self) -> Result<()> {
         let sh = &self.sh;
-        if matches!(sh.state(), State::Closed | State::Broken) {
-            self.teardown();
+        if !sh.state().carries_data() {
             return Ok(());
         }
         sh.set_state(State::Closing);
@@ -652,48 +698,41 @@ impl UdtConnection {
         let now = sh.clock.now();
         // Emit one final ACK so the peer's send side settles before it sees
         // our Shutdown (the ACK timer may not have fired yet).
-        let ack = {
+        let (ack, rtt_bound) = {
             let mut r = sh.rcv.lock();
             let base = r.buffer.base_seq();
-            r.core.ack(now, base, sh.cfg.rcv_buf_pkts)
+            (r.core.ack(now, base, sh.cfg.rcv_buf_pkts), r.core.rtt_bound())
         };
         if let Some(ack) = ack {
             send_ack(sh, ack, now);
         }
-        // Shutdown is fire-and-forget; send a few copies for loss
-        // tolerance — spaced out, because back-to-back copies share one
-        // queue state on a congested path and are dropped together. A
-        // peer that misses every copy only learns of our death through
-        // its EXP ladder, turning a clean EOF into `Broken`.
-        for i in 0..3 {
-            if i > 0 {
-                std::thread::sleep(Duration::from_millis(15));
-            }
-            sh.send_ctrl(ControlBody::Shutdown, sh.clock.now());
-        }
-        sh.set_state(State::Closed);
-        self.teardown();
+        // Whichever half exchanged data has measured the path. The machine
+        // first, then the state that hands it to the timer thread: from
+        // there only `Shutdown`s are heard. (`Closed` already, if the peer's
+        // `Shutdown` or its answer got in between: that is final.)
+        let rtt_bound = rtt_bound.min(sh.snd.lock().core.rtt_bound());
+        sh.close_step(now, |c| c.close(now, rtt_bound));
+        sh.set_state(State::FinWait);
         if flushed {
             Ok(())
         } else {
             Err(UdtError::FlushTimeout)
         }
     }
-
-    /// Join the connection's threads (the state is final by now) and drop
-    /// its mux route: every exit path ends here.
-    fn teardown(&self) {
-        let mut ts = self.threads.lock();
-        for t in ts.drain(..) {
-            let _ = t.join();
-        }
-        self.sh.mux.unregister(self.sh.local_id);
-    }
 }
 
 impl Drop for UdtConnection {
+    /// Closes if the application has not, then waits for the `Shutdown`
+    /// exchange to end — an RTT against a live peer, two repeat intervals
+    /// (RTT + 4·RTTVar, one SYN at least) against a dead one — joins the
+    /// connection's threads and drops its mux route: until then a peer whose
+    /// answer was lost still gets another.
     fn drop(&mut self) {
         let _ = self.close();
+        for t in self.threads.drain(..) {
+            let _ = t.join();
+        }
+        self.sh.mux.unregister(self.sh.local_id);
     }
 }
 
@@ -796,7 +835,7 @@ pub(crate) fn sender_loop(sh: Arc<Shared>) {
     let mut picked: Vec<(SeqNo, Bytes, bool)> = Vec::with_capacity(burst_cap + 1);
     let mut pkts: Vec<Packet> = Vec::with_capacity(burst_cap + 1);
     loop {
-        if matches!(sh.state(), State::Closed | State::Broken) {
+        if !sh.state().carries_data() {
             return;
         }
         let mut s = sh.snd.lock();
@@ -856,8 +895,9 @@ pub(crate) fn sender_loop(sh: Arc<Shared>) {
 }
 
 /// The timer thread (`udt-rcv-<id>`): the ACK / NAK / EXP timers of the
-/// paper's receiver (§4.8) and nothing else. It sleeps until the earliest
-/// of their deadlines (one SYN at most: the ACK timer's) on a condvar that
+/// paper's receiver (§4.8), then the `Shutdown` repeats of a close, and
+/// nothing else. It sleeps until the earliest of their deadlines (one SYN at
+/// most while data flows: the ACK timer's) on a condvar that
 /// [`Shared::set_state`] notifies.
 #[allow(clippy::needless_pass_by_value)] // thread entry point: owns its Arc for the thread lifetime
 pub(crate) fn timer_loop(sh: Arc<Shared>) {
@@ -879,7 +919,11 @@ pub(crate) fn timer_loop(sh: Arc<Shared>) {
         let now = sh.clock.now();
         // Neither half can act before its deadline: arrivals only push the
         // EXP timer out.
-        deadline = rcv_timers(&sh, now).min(snd_timers(&sh, now));
+        deadline = if sh.state() == State::FinWait {
+            sh.close_step(now, |c| c.on_timer(now))
+        } else {
+            rcv_timers(&sh, now).min(snd_timers(&sh, now))
+        };
     }
 }
 
@@ -903,8 +947,19 @@ impl PacketSink for Shared {
     /// thread: every packet through [`process_packet`], then one flush of
     /// the control replies and at most one notification per condvar.
     fn deliver(&self, batch: &mut MuxBatch, recv_ns: u64) {
-        if matches!(self.state(), State::Closed | State::Broken) {
-            batch.clear();
+        if !self.state().carries_data() {
+            // Only the `Shutdown` exchange is still heard: ours may be
+            // unanswered, and a peer whose answer was lost repeats its own.
+            for (pkt, ..) in batch.drain(..) {
+                if let Packet::Control(ControlPacket {
+                    body: ControlBody::Shutdown { answer },
+                    ..
+                }) = pkt
+                {
+                    let now = self.clock.now();
+                    self.close_step(now, |c| c.on_shutdown(now, answer));
+                }
+            }
             return;
         }
         self.snd.lock().core.on_arrival(self.clock.now());
@@ -956,12 +1011,8 @@ fn process_packet(sh: &Shared, pkt: Packet, rx: &mut RxScratch) {
                         o.rtt_us.record(sample.as_micros());
                     }
                 }
-                ControlBody::Shutdown => {
-                    {
-                        let mut r = sh.rcv.lock();
-                        r.eof = true;
-                    }
-                    sh.set_state(State::Closed);
+                ControlBody::Shutdown { answer } => {
+                    sh.close_step(now, |c| c.on_shutdown(now, answer));
                 }
                 ControlBody::KeepAlive => {
                     // An answer is itself a send: this batch's flush

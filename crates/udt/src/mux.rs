@@ -538,15 +538,26 @@ impl Mux {
     }
 
     /// Ask the demux thread to exit (it also exits when the last Arc
-    /// drops).
+    /// drops) and hang up on the listener queue. Neither waits out a poll
+    /// tick: the queue's reader sees `Disconnected`, and an empty datagram
+    /// to our own address (the decoder rejects it) ends the blocking receive.
     pub fn shutdown(&self) {
         self.stop.store(true, Ordering::Relaxed);
+        *self.listener.lock() = None;
+        let mut me = self.local_addr;
+        if me.ip().is_unspecified() {
+            me.set_ip(match me {
+                SocketAddr::V4(_) => std::net::Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => std::net::Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let _ = self.socket.send_to(&[], me);
     }
 }
 
 impl Drop for Mux {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        self.shutdown();
         if let Some(h) = self.thread.lock().take() {
             // The final Arc can be dropped *by the demux thread itself*
             // (it briefly upgrades its Weak); joining ourselves would
@@ -785,6 +796,22 @@ mod tests {
         let (pkt, ..) = recv_one(&q, Duration::from_secs(2)).expect("retransmission delivered");
         assert!(matches!(pkt, Packet::Data(d) if d.seq == SeqNo::new(64)));
         assert_eq!(server.counters().snapshot().replays, 0);
+    }
+
+    #[test]
+    fn shutdown_ends_the_demux_thread_without_waiting_out_its_poll_tick() {
+        // Best of three: scheduling noise only adds. The receive timeout is
+        // 100 ms; the wildcard address exercises the loopback mapping.
+        let took = (0..3).map(|_| {
+            let m = bind_test("0.0.0.0:0");
+            let demux = m.thread.lock().take().unwrap();
+            let t0 = std::time::Instant::now();
+            m.shutdown();
+            demux.join().unwrap();
+            t0.elapsed()
+        });
+        let took = took.min().unwrap();
+        assert!(took < Duration::from_millis(20), "demux thread took {took:?}");
     }
 
     #[test]

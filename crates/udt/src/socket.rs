@@ -440,7 +440,6 @@ type ConnTable = Arc<Mutex<HashMap<(SocketAddr, u32), (Packet, Instant)>>>;
 pub struct UdtListener {
     mux: Arc<Mux>,
     accepted: Receiver<UdtConnection>,
-    stop: Arc<AtomicBool>,
     draining: Arc<AtomicBool>,
     counters: Arc<ListenerCounters>,
     auth_counters: Arc<AuthCounters>,
@@ -469,7 +468,6 @@ impl UdtListener {
         let mux = Mux::bind(addr, &cfg)?;
         let hs_queue = mux.set_listener();
         let (tx, rx) = crossbeam::channel::bounded(cfg.accept_backlog.max(1));
-        let stop = Arc::new(AtomicBool::new(false));
         let draining = Arc::new(AtomicBool::new(false));
         let hs: Emitter<ListenerCounters> = Emitter::new(cfg.tracer.clone(), 0, 0);
         let auth: Emitter<AuthCounters> = Emitter::new(cfg.tracer.clone(), 0, 0);
@@ -486,7 +484,6 @@ impl UdtListener {
         let conn_table: ConnTable = Arc::new(Mutex::new(HashMap::new()));
         let service = {
             let mux = Arc::clone(&mux);
-            let stop = Arc::clone(&stop);
             let draining = Arc::clone(&draining);
             let sessions = Arc::clone(&sessions);
             let conn_table = Arc::clone(&conn_table);
@@ -498,7 +495,6 @@ impl UdtListener {
                         cfg,
                         hs_queue,
                         accepted: tx,
-                        stop,
                         draining,
                         hs,
                         auth,
@@ -510,7 +506,6 @@ impl UdtListener {
         Ok(UdtListener {
             mux,
             accepted: rx,
-            stop,
             draining,
             counters,
             auth_counters,
@@ -586,7 +581,7 @@ impl UdtListener {
 
 impl Drop for UdtListener {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        // Hangs up on the service thread's queue as well: it returns at once.
         self.mux.shutdown();
         if let Some(h) = self.service.lock().take() {
             let _ = h.join();
@@ -600,7 +595,6 @@ struct ListenerCtx {
     cfg: UdtConfig,
     hs_queue: Receiver<crate::mux::MuxMsg>,
     accepted: Sender<UdtConnection>,
-    stop: Arc<AtomicBool>,
     draining: Arc<AtomicBool>,
     /// Handshake events, tagged 0 (the listener) unless said otherwise;
     /// the hardening counters are their fold (`gc_evictions` has no event).
@@ -681,7 +675,8 @@ fn listener_service(ctx: ListenerCtx) {
     let mut rate = RateTable::new();
     let mut last_gc = Instant::now();
     let gc_interval = (ctx.cfg.handshake_cache_ttl / 4).max(Duration::from_secs(1));
-    while !ctx.stop.load(Ordering::Relaxed) {
+    // Until the listener is dropped and `Mux::shutdown` hangs up on the queue.
+    loop {
         let msg = ctx.hs_queue.recv_timeout(Duration::from_millis(100));
         let now = Instant::now();
         // Periodic GC of idle state, even when no traffic arrives.
@@ -994,6 +989,19 @@ mod tests {
             Err(other) => panic!("expected ConnectTimeout, got {other:?}"),
             Ok(_) => panic!("expected ConnectTimeout, got a connection"),
         }
+    }
+
+    #[test]
+    fn dropping_a_listener_does_not_wait_out_a_poll_tick() {
+        // Best of three; the service thread polls its queue every 100 ms.
+        let took = (0..3).map(|_| {
+            let l = UdtListener::bind("127.0.0.1:0".parse().unwrap(), UdtConfig::default());
+            let t0 = Instant::now();
+            drop(l.unwrap());
+            t0.elapsed()
+        });
+        let took = took.min().unwrap();
+        assert!(took < Duration::from_millis(20), "drop took {took:?}");
     }
 
     #[test]

@@ -387,3 +387,71 @@ fn replay_window_survives_sequence_wrap() {
     assert_eq!(got, sent, "transfer must cross the wrap intact");
     assert!(replays > 0, "replays across the wrap were never detected");
 }
+
+/// A forged *answer* to a `Shutdown`. The peer is unreachable (the relay is
+/// gone), so nothing genuine can answer the client's close; an off-path
+/// attacker who knows the connection id then sends the 16 bytes that would.
+/// Returns `(copies the client sent, whether it took the exchange as
+/// answered, forgeries its auth gate counted)`.
+fn close_with_a_forged_answer(cfg: UdtConfig) -> (usize, bool, u64) {
+    let listener = UdtListener::bind("127.0.0.1:0".parse().unwrap(), cfg.clone()).unwrap();
+    let relay = LinkEmu::from_scenario(&Scenario::new("clean", 1), listener.local_addr()).unwrap();
+    let (hang_up, wait) = std::sync::mpsc::channel::<()>();
+    let server = std::thread::spawn(move || {
+        let conn = listener.accept().unwrap();
+        let _ = wait.recv();
+        drop(conn);
+    });
+    let tracer = Tracer::ring(1 << 12);
+    let cfg = UdtConfig {
+        tracer: tracer.clone(),
+        ..cfg
+    };
+    let client = UdtConnection::connect(relay.client_addr(), cfg).unwrap();
+    client.send(b"x").unwrap();
+    while client.unflushed_pkts() > 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    relay.shutdown();
+    // Events carry the id packets for this connection must be addressed to.
+    let id = tracer.snapshot().iter().map(|e| e.conn).find(|&c| c != 0).unwrap();
+    let mut forged = Vec::new();
+    for word in [0x8005_0000u32, 1, 0, id] {
+        forged.extend_from_slice(&word.to_be_bytes());
+    }
+    client.close().unwrap();
+    let attacker = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
+    attacker.send_to(&forged, client.local_addr()).unwrap();
+    // The repeats (if any) run their course; the gate has counted by then.
+    let t0 = std::time::Instant::now();
+    let done = |t: &Tracer| {
+        t.snapshot().iter().find_map(|e| match e.kind {
+            EventKind::ShutdownDone { answered } => Some(answered),
+            _ => None,
+        })
+    };
+    let answered = loop {
+        if let Some(answered) = done(&tracer) {
+            break answered;
+        }
+        assert!(t0.elapsed() < Duration::from_secs(5), "the exchange never ended");
+        std::thread::sleep(Duration::from_millis(1));
+    };
+    let bad = client.auth_counters().map_or(0, |c| c.tags_bad);
+    let sent = |e: &udt_trace::TraceEvent| matches!(e.kind, EventKind::ShutdownSend { .. });
+    let copies = tracer.snapshot().iter().filter(|e| sent(e)).count();
+    drop(client);
+    let _ = hang_up.send(());
+    server.join().unwrap();
+    (copies, answered, bad)
+}
+
+/// On a plaintext connection the forged answer ends the exchange; on an
+/// authenticated one it is rejected and counted like any forged control
+/// packet, and the unanswered `Shutdown` is repeated to the end.
+#[test]
+fn a_forged_shutdown_answer_does_not_stop_an_authenticated_close() {
+    let _serial = serial();
+    assert_eq!(close_with_a_forged_answer(plain()), (1, true, 0));
+    assert_eq!(close_with_a_forged_answer(keyed(AuthPolicy::Require)), (3, false, 1));
+}

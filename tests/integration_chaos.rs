@@ -273,3 +273,136 @@ fn linkemu_chain_counts_faults_per_direction() {
     );
     emu.shutdown();
 }
+
+// ---------------------------------------------------------------------------
+// Teardown: the answered Shutdown exchange under loss.
+// ---------------------------------------------------------------------------
+
+/// The `shutdown_send` copies and the `shutdown_done` verdicts on a timeline.
+type Exchange = (Vec<u32>, Vec<bool>);
+
+fn shutdown_events(tracer: &udt_trace::Tracer) -> Exchange {
+    let (mut copies, mut done) = (Vec::new(), Vec::new());
+    for e in tracer.snapshot() {
+        match e.kind {
+            udt_trace::EventKind::ShutdownSend { copy } => copies.push(copy),
+            udt_trace::EventKind::ShutdownDone { answered } => done.push(answered),
+            _ => {}
+        }
+    }
+    (copies, done)
+}
+
+/// The server's reader thread: what its blocked `recv()` returned, and the
+/// endpoints, still alive.
+type Reader = std::thread::JoinHandle<(Result<usize, udt::UdtError>, UdtConnection, UdtListener)>;
+
+/// A flushed, idle connection through `relay`, a byte exchanged each way so
+/// that the client has measured the path (an ACK2 came back: its repeat
+/// interval is the one-SYN floor, not the 300 ms an unmeasured path gets):
+/// `(client, its tracer, the server's reader thread)`. The reader is blocked
+/// in `recv()`; it hands back what that returns, and the connection.
+fn idle_pair_through(
+    listener: UdtListener,
+    relay: &LinkEmu,
+) -> (UdtConnection, udt_trace::Tracer, Reader) {
+    let reader = std::thread::spawn(move || {
+        let conn = listener.accept().unwrap();
+        let mut buf = [0u8; 8];
+        assert_eq!(conn.recv(&mut buf).unwrap(), 1);
+        conn.send(b"y").unwrap();
+        (conn.recv(&mut buf), conn, listener)
+    });
+    let tracer = udt_trace::Tracer::ring(1 << 12);
+    let cfg = UdtConfig {
+        tracer: tracer.clone(),
+        ..UdtConfig::default()
+    };
+    let client = UdtConnection::connect(relay.client_addr(), cfg).unwrap();
+    client.send(b"x").unwrap();
+    assert_eq!(client.recv(&mut [0u8; 8]).unwrap(), 1);
+    let measured = |t: &udt_trace::Tracer| {
+        let ack2 = |e: &udt_trace::TraceEvent| matches!(e.kind, udt_trace::EventKind::Ack2Recv { .. });
+        t.snapshot().iter().any(ack2)
+    };
+    while client.unflushed_pkts() > 0 || !measured(&tracer) {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    (client, tracer, reader)
+}
+
+/// Close an idle connection 2 ms into a 9 ms blackout of direction `dir`, so
+/// that the first packet of the exchange going that way — the first
+/// `Shutdown` forward, the first answer in reverse — is lost, and the repeat
+/// (a SYN later at the earliest) is not. `None` if this run's `close()` was
+/// scheduled past the window (the relay then dropped nothing): try again.
+fn close_through_a_blackout(dir: Direction) -> Option<(Option<usize>, Exchange)> {
+    let (start, window) = (Duration::from_millis(150), Duration::from_millis(9));
+    let blackout = ImpairmentSpec::Blackout {
+        start_us: start.as_micros() as u64,
+        duration_us: window.as_micros() as u64,
+        period_us: None,
+    };
+    let scenario = Scenario::new("lost-shutdown", 1);
+    let scenario = match dir {
+        Direction::Forward => scenario.forward(blackout),
+        Direction::Reverse => scenario.reverse(blackout),
+    };
+    let listener = UdtListener::bind("127.0.0.1:0".parse().unwrap(), UdtConfig::default()).unwrap();
+    let relay = LinkEmu::from_scenario(&scenario, listener.local_addr()).unwrap();
+    let t0 = std::time::Instant::now();
+    let (client, tracer, reader) = idle_pair_through(listener, &relay);
+    std::thread::sleep((t0 + start + Duration::from_millis(2)).saturating_duration_since(std::time::Instant::now()));
+    client.close().unwrap();
+    // Joins the timer thread: the exchange is over. The peer is still there
+    // (inside `reader`) to answer a repeat.
+    drop(client);
+    let (eof, _server, _listener) = reader.join().unwrap();
+    let faults = match dir {
+        Direction::Forward => relay.fault_counters_a_to_b(),
+        Direction::Reverse => relay.fault_counters_b_to_a(),
+    };
+    let dropped: u64 = faults.iter().map(|(_, c)| c.snapshot().dropped).sum();
+    (dropped == 1).then_some((eof.ok(), shutdown_events(&tracer)))
+}
+
+/// A lost first `Shutdown`, and separately a lost first answer, are repaired
+/// by one repeat on the timer: the peer's blocked `recv()` returns EOF (not
+/// `Broken`), and the initiator sent two copies, not three.
+#[test]
+fn a_lost_shutdown_or_a_lost_answer_costs_one_repeat() {
+    let _serial = serial();
+    for dir in [Direction::Forward, Direction::Reverse] {
+        let (eof, exchange) = (0..5)
+            .find_map(|_| close_through_a_blackout(dir))
+            .unwrap_or_else(|| panic!("{dir:?}: close() never landed inside the blackout"));
+        assert_eq!(eof, Some(0), "{dir:?}: the peer must see EOF");
+        assert_eq!(exchange, (vec![1, 2], vec![true]), "{dir:?}");
+    }
+}
+
+/// The peer's endpoint is gone (the path to it is): `close()` still returns
+/// at once, and the drop that waits for the exchange gives up after the
+/// third copy, two repeat intervals (a SYN each on loopback) later.
+#[test]
+fn close_against_a_vanished_peer_returns_at_once_and_drop_gives_up() {
+    let _serial = serial();
+    let listener = UdtListener::bind("127.0.0.1:0".parse().unwrap(), UdtConfig::default()).unwrap();
+    let relay = LinkEmu::from_scenario(&Scenario::new("clean", 1), listener.local_addr()).unwrap();
+    let (client, tracer, reader) = idle_pair_through(listener, &relay);
+    relay.shutdown();
+    let t0 = std::time::Instant::now();
+    client.close().unwrap();
+    let closed = t0.elapsed();
+    drop(client);
+    let dropped = t0.elapsed();
+    assert!(closed < Duration::from_millis(20), "close() took {closed:?}");
+    assert!(
+        (Duration::from_millis(20)..Duration::from_millis(150)).contains(&dropped),
+        "drop took {dropped:?}: two 10 ms repeat intervals, plus slack"
+    );
+    assert_eq!(shutdown_events(&tracer), (vec![1, 2, 3], vec![false]));
+    // The server never heard a thing; its reader stays blocked until its
+    // EXP ladder runs out, long after this test: detach it.
+    drop(reader);
+}

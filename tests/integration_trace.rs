@@ -191,6 +191,13 @@ fn netsim_and_socket_exports_share_one_schema() {
     }
     conn.close().expect("close");
     let served = server.join().expect("server");
+    // close() returns with its Shutdown unanswered: the export is taken (and
+    // the link goes) once the timeline shows the exchange has ended.
+    let t0 = std::time::Instant::now();
+    while !sock_tracer.snapshot().iter().any(|e| e.kind.name() == "shutdown_done") {
+        assert!(t0.elapsed() < Duration::from_secs(5), "the Shutdown exchange never ended");
+        std::thread::sleep(Duration::from_millis(1));
+    }
     emu.shutdown();
     let sock_events = sock_tracer.snapshot();
     assert!(!sock_events.is_empty(), "sockets emitted nothing");
@@ -226,12 +233,12 @@ fn netsim_and_socket_exports_share_one_schema() {
 
     // Both hosts run one protocol core: a lossy transfer makes them emit
     // the same set of protocol events, the whole data/ACK/ACK2/NAK/timer
-    // vocabulary.
+    // vocabulary and the close exchange.
     let (sim_names, sock_names) = (protocol_names(&sim_events), protocol_names(&sock_events));
     assert_eq!(sim_names, sock_names, "the hosts' protocol vocabularies differ");
     let expected = [
         "ack2_recv", "ack2_send", "ack_recv", "ack_send", "bw", "data_recv", "data_send", "loss",
-        "nak_recv", "nak_send", "rate", "rtt", "timer",
+        "nak_recv", "nak_send", "rate", "rtt", "shutdown_done", "shutdown_send", "timer",
     ];
     assert_eq!(sim_names, BTreeSet::from(expected));
 
